@@ -38,6 +38,7 @@ from .featexpr import (
     print_fexp,
     sat,
     simplify,
+    solutions,
     taut,
 )
 from .minimize import RULE_NAMES, apply_rule, lift, minimize, variation_weight

@@ -33,13 +33,13 @@ from .featexpr import (
     FeatExpr,
     ParseError,
     _skip_ws,
-    all_configs,
     conj,
     eval_fexp,
     features_of,
     parse_fexp_partial,
     print_fexp,
     sat,
+    solutions,
 )
 
 
@@ -188,9 +188,7 @@ def count_schema_variants(s: VSchema) -> tuple[int, int]:
         raise CatalogError("too many features to enumerate (limit 24)")
     satisfying = 0
     shapes = set()
-    for c in all_configs(s.features):
-        if not eval_fexp(s.model, c):
-            continue
+    for c in solutions(s.model, s.features):
         satisfying += 1
         plain = configure_schema(s, c)
         shapes.add(

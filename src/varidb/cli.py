@@ -23,7 +23,7 @@ from .catalog import (
     parse_config,
     print_plain_schema,
 )
-from .featexpr import FeatExpr, ParseError, eval_fexp, minterm, print_fexp
+from .featexpr import ParseError, conj, minterm, print_fexp, witness
 from .minimize import lift, minimize
 from .relengine import model_configs, result_schema, run_configure, run_group
 from .sqlgen import SqlError, SqlStatement, sql_of_plain, sql_union
@@ -139,18 +139,26 @@ def _statements(q: VQuery, db: VDBInstance, mode: str) -> list[SqlStatement]:
     if mode == "per-group":
         return [sql_of_plain(member, e) for member, e in group]
     unified = result_schema(q, db.schema).attr_names()
-    return [sql_union(group, unified, _member_columns(group, db))]
+    members, columns = _member_columns(group, db)
+    return [sql_union(members, unified, columns)]
 
 
-def _member_columns(group, db: VDBInstance) -> list[list[str]]:
-    """Each member's output columns, read off a witness configuration."""
-    configs = model_configs(db.schema)
-    columns = []
+def _member_columns(group, db: VDBInstance) -> tuple[list, list[list[str]]]:
+    """The members some model configuration reaches, with their output columns.
+
+    Columns are read off a witness configuration.  A member no model
+    configuration reaches can yield no row in any variant, so it is left
+    out, as `run_group` skips it.
+    """
+    members, columns = [], []
     for member, e in group:
-        witness = next(c for c in configs if eval_fexp(e, c))
-        cols = plain_type(member, configure_schema(db.schema, witness))
+        config = witness(conj(e, db.schema.model), db.schema.features)
+        if config is None:
+            continue
+        cols = plain_type(member, configure_schema(db.schema, config))
+        members.append((member, e))
         columns.append([name for name, _ in cols] if cols else [])
-    return columns
+    return members, columns
 
 
 def _cmd_sql(args) -> int:

@@ -6,14 +6,20 @@ owns the formula AST, the concrete syntax (`parse_fexp` / `print_fexp`), the
 decision procedures (`sat`, `taut`, `equiv`, `implies`), and a canonicalizing
 `simplify` used to keep printed annotations small and stable.
 
-Solving strategy: formulas mentioning at most 16 features are decided by
-truth-table enumeration; larger ones go through a Tseitin transform and a
-small DPLL solver.  `simplify` computes a minimal disjunctive normal form
-(Quine-McCluskey with deterministic tie-breaking) for formulas of at most 12
-features, after first discarding variables the formula does not semantically
-depend on; beyond that it falls back to structural cleanup plus a
-constant-collapse check.  The canonical form is what lets two different
-pipelines print byte-identical annotations for equivalent conditions.
+Solving strategy: a formula mentioning at most 16 features is decided from
+its truth table, computed in one walk of the formula as a Python int with
+bit m set iff the formula holds at minterm m (features are precomputed
+variable masks; And/Or/Not are `&`/`|`/complement).  Larger formulas go
+through a Tseitin transform and a small DPLL solver.  `simplify` computes a
+minimal disjunctive normal form (Quine-McCluskey with deterministic
+tie-breaking) from the minterms of that table for formulas of at most 12
+features, after first discarding variables the formula does not
+semantically depend on; beyond that it falls back to structural cleanup
+plus a constant-collapse check.  The canonical form is what lets two
+different pipelines print byte-identical annotations for equivalent
+conditions.  The same tables enumerate a formula's satisfying
+configurations (`solutions`) and canonicalize a set of minterms
+(`from_minterms`) without evaluating the formula once per configuration.
 """
 
 from __future__ import annotations
@@ -114,11 +120,12 @@ def features_of(e: FeatExpr) -> frozenset[str]:
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Feature):
+        kind = type(node)
+        if kind is Feature:
             names.add(node.name)
-        elif isinstance(node, Not):
+        elif kind is Not:
             stack.append(node.operand)
-        elif isinstance(node, (And, Or)):
+        elif kind is And or kind is Or:
             stack.append(node.left)
             stack.append(node.right)
     return frozenset(names)
@@ -267,20 +274,115 @@ def _render(e: FeatExpr, need: int) -> str:
 # Decision procedures
 # ---------------------------------------------------------------------------
 
-_ENUM_LIMIT = 16  # below this, brute force beats the DPLL setup cost
+_ENUM_LIMIT = 16  # below this, truth tables beat the DPLL setup cost
+
+
+def _var_mask(k: int, n: int) -> int:
+    """Bit m set iff bit k of m is set, for 0 <= m < 2^n, built by doubling."""
+    width = 1 << k
+    mask = ((1 << width) - 1) << width
+    width <<= 1
+    while width < 1 << n:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+@lru_cache(maxsize=_ENUM_LIMIT + 1)
+def _masks(n: int) -> tuple[int, ...]:
+    """The variable masks of `_var_mask` for every k < n."""
+    return tuple(_var_mask(k, n) for k in range(n))
+
+
+def _truth_table(e: FeatExpr, leaves: dict[str, int], n: int) -> int:
+    """Evaluate `e` at all 2^n minterms in one walk.
+
+    `leaves` maps a feature to its own table: a variable mask, or 0 or all
+    ones for a feature fixed to disabled or enabled.  Bit m of the result
+    is set iff `e` holds at minterm m.  A feature missing from `leaves`
+    counts as disabled, as in `eval_fexp`.
+    """
+    full = (1 << (1 << n)) - 1
+
+    def walk(node: FeatExpr) -> int:
+        kind = type(node)
+        if kind is Feature:
+            return leaves.get(node.name, 0)
+        if kind is And:
+            t = walk(node.left)
+            return t & walk(node.right) if t else 0
+        if kind is Or:
+            t = walk(node.left)
+            return t | walk(node.right) if t != full else full
+        if kind is Not:
+            return walk(node.operand) ^ full
+        if kind is BoolLit:
+            return full if node.value else 0
+        raise TypeError(f"not a feature expression: {node!r}")
+
+    return walk(e)
+
+
+def _table_over(e: FeatExpr, names: list[str]) -> int:
+    """The truth table of `e` with bit k of a minterm standing for `names[k]`.
+
+    Bit order is that of `all_configs` over sorted `names` (at most 16).
+    """
+    return _truth_table(e, dict(zip(names, _masks(len(names)))), len(names))
+
+
+def _bits(t: int) -> Iterator[int]:
+    """The positions of the set bits of `t`, ascending."""
+    s = bin(t)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
+def _config(names: list[str], m: int) -> Configuration:
+    return frozenset(names[k] for k in range(len(names)) if m >> k & 1)
+
+
+def _minterms_of(e: FeatExpr, names: list[str]) -> Iterator[int]:
+    """The minterms over sorted `names` at which `e` holds, ascending.
+
+    Beyond 16 names the table is taken in blocks of 2^16 minterms, one for
+    each assignment to the names above the 16th, so memory stays bounded.
+    """
+    low, high = names[:_ENUM_LIMIT], names[_ENUM_LIMIT:]
+    leaves = dict(zip(low, _masks(len(low))))
+    full = (1 << (1 << len(low))) - 1
+    for h in range(1 << len(high)):
+        leaves.update((f, full if h >> j & 1 else 0) for j, f in enumerate(high))
+        for m in _bits(_truth_table(e, leaves, len(low))):
+            yield h << len(low) | m
 
 
 @lru_cache(maxsize=65536)
 def sat(e: FeatExpr) -> bool:
     """Is the formula satisfiable by some configuration of its own features?"""
     names = sorted(features_of(e))
-    n = len(names)
-    if n <= _ENUM_LIMIT:
-        for bits in range(1 << n):
-            if _eval(e, {names[k] for k in range(n) if bits >> k & 1}):
-                return True
-        return False
+    if len(names) <= _ENUM_LIMIT:
+        return _table_over(e, names) != 0
     return _dpll(_tseitin(e))
+
+
+def solutions(e: FeatExpr, universe: Iterable[str]) -> list[Configuration]:
+    """`[c for c in all_configs(universe) if eval_fexp(e, c)]`, from truth tables."""
+    names = sorted(universe)
+    return [_config(names, m) for m in _minterms_of(e, names)]
+
+
+def witness(e: FeatExpr, universe: Iterable[str]) -> Configuration | None:
+    """The first of `solutions(e, universe)`, or None if there is none.
+
+    Decided over the formula's own features within `universe`: the first
+    solution in `all_configs` order has every other feature disabled.
+    """
+    names = sorted(features_of(e) & frozenset(universe))
+    m = next(_minterms_of(e, names), None)
+    return None if m is None else _config(names, m)
 
 
 def taut(e: FeatExpr) -> bool:
@@ -373,30 +475,58 @@ def simplify(e: FeatExpr) -> FeatExpr:
     names = sorted(features_of(e))
     if len(names) > _QM_LIMIT:
         return _simplify_structural(e)
+    return _canonical(names, _table_over(e, names))
+
+
+def from_minterms(names: list[str], minterms: Iterable[int]) -> FeatExpr:
+    """The canonical formula holding exactly at `minterms` over sorted `names`.
+
+    Bit k of a minterm is the state of `names[k]`, as in `all_configs`.  Up
+    to 12 names this is `simplify` of the minterms' disjunction; above that,
+    the disjunction itself in ascending order unless it is constant.
+    """
+    digits = bytearray(b"0" * (1 << len(names)))
+    for m in minterms:
+        digits[-1 - m] = ord("1")
+    return _canonical(names, int(digits, 2))
+
+
+def _canonical(names: list[str], table: int) -> FeatExpr:
+    """Minimal DNF of the function whose truth table over `names` is `table`.
+
+    Beyond 12 names, the disjunction of its minterms (see `from_minterms`).
+    """
     n = len(names)
-    minterms = {
-        bits
-        for bits in range(1 << n)
-        if _eval(e, {names[k] for k in range(n) if bits >> k & 1})
-    }
-    if not minterms:
+    if not table:
         return FALSE
-    if len(minterms) == 1 << n:
+    if table == (1 << (1 << n)) - 1:
         return TRUE
-    names, minterms = _drop_irrelevant(names, minterms)
+    if n > _QM_LIMIT:
+        return or_all(minterm(_config(names, m), names) for m in _bits(table))
+    names, minterms = _drop_irrelevant(names, table)
     primes = _prime_implicants(minterms)
     chosen = _cover(primes, minterms)
     terms = sorted(_term_key(v, mask, len(names)) for v, mask in chosen)
     return or_all(_term_expr(key, names) for key in terms)
 
 
-def _drop_irrelevant(names: list[str], minterms: set[int]) -> tuple[list[str], set[int]]:
-    """Project away variables whose value never changes membership."""
-    for i in range(len(names) - 1, -1, -1):
+def _drop_irrelevant(names: list[str], table: int) -> tuple[list[str], set[int]]:
+    """Project away variables whose value never changes membership.
+
+    Variable k is irrelevant iff the table's two cofactors on it agree.
+    Dropping a variable leaves the relevance of every other one unchanged
+    and moves only the variables above it, so each is tested on the
+    original table, from the top down.
+    """
+    n = len(names)
+    full, masks = (1 << (1 << n)) - 1, _masks(n)
+    minterms = set(_bits(table))
+    for i in range(n - 1, -1, -1):
         bit = 1 << i
-        if any(((m in minterms) != ((m ^ bit) in minterms)) for m in range(1 << len(names))):
+        low_half = masks[i] ^ full
+        if (table >> bit) & low_half != table & low_half:
             continue
-        low = (1 << i) - 1
+        low = bit - 1
         minterms = {(m & low) | ((m >> (i + 1)) << i) for m in minterms if not m & bit}
         names = names[:i] + names[i + 1 :]
     return names, minterms
@@ -528,4 +658,4 @@ def all_configs(universe: Iterable[str]) -> Iterator[Configuration]:
     """All configurations over `universe`, in binary counting order."""
     names = sorted(universe)
     for bits in range(1 << len(names)):
-        yield frozenset(names[k] for k in range(len(names)) if bits >> k & 1)
+        yield _config(names, bits)

@@ -30,13 +30,12 @@ from .featexpr import (
     FeatExpr,
     Not,
     TRUE,
-    all_configs,
     conj,
     disj,
-    eval_fexp,
     minterm,
     print_fexp,
     sat,
+    solutions,
 )
 from .storage import PlainTable, VDBInstance, VTable, build_vtable, configure_db
 from .translate import configure_query, group_query
@@ -297,7 +296,7 @@ def result_schema(q: VQuery, schema: VSchema) -> VRelSchema:
 
 def model_configs(schema: VSchema) -> list[frozenset[str]]:
     """Every total configuration that satisfies the feature model."""
-    return [c for c in all_configs(schema.features) if eval_fexp(schema.model, c)]
+    return solutions(schema.model, schema.features)
 
 
 def run_configure(q: VQuery, db: VDBInstance, collect: list | None = None) -> VTable:
@@ -309,9 +308,7 @@ def run_configure(q: VQuery, db: VDBInstance, collect: list | None = None) -> VT
     schema = result_schema(q, db.schema)
     features = db.schema.features
     parts = []
-    for config in all_configs(features):
-        if not eval_fexp(db.schema.model, config):
-            continue
+    for config in model_configs(db.schema):
         plain_query = configure_query(q, config)
         table = eval_plain(plain_query, configure_db(db, config))
         stamp = minterm(config, features)

@@ -28,7 +28,7 @@ from .featexpr import (
     all_configs,
     conj,
     eval_fexp,
-    minterm,
+    from_minterms,
     sat,
     simplify,
 )
@@ -119,31 +119,26 @@ def configure_query(q: VQuery, config: Configuration) -> PlainQuery:
 # ---------------------------------------------------------------------------
 
 
-def _group_extensional(x, configure, key):
-    """Bucket x's configured forms over its own features.
+def _group_extensional(x, configure, key, features=None):
+    """Bucket x's configured forms over `features` (default: its own).
 
-    Returns [(plain form, fexp)] in first-seen order; the fexps are the
-    simplified disjunctions of the matching configuration minterms.
+    Returns [(plain form, fexp)] in first-seen order; each fexp is the
+    canonical formula of the configurations giving that form, read off the
+    bucket's minterms.
     """
-    names = sorted(free_features(x))
+    names = sorted(free_features(x) if features is None else set(features))
     if len(names) > 20:
         raise ValueError(f"too many features to enumerate: {len(names)}")
-    buckets: dict[object, list[FeatExpr]] = {}
+    buckets: dict[object, list[int]] = {}
     reps: dict[object, object] = {}
-    for c in all_configs(names):
+    for m, c in enumerate(all_configs(names)):
         plain = configure(x, c)
         k = key(plain)
         if k not in buckets:
             buckets[k] = []
             reps[k] = plain
-        buckets[k].append(minterm(c, names))
-    out = []
-    for k, minterms in buckets.items():
-        combined = minterms[0]
-        for m in minterms[1:]:
-            combined = Or(combined, m)
-        out.append((reps[k], simplify(combined)))
-    return out
+        buckets[k].append(m)
+    return [(reps[k], from_minterms(names, ms)) for k, ms in buckets.items()]
 
 
 def group_cond(c: VCondition) -> list[tuple[VCondition, FeatExpr]]:
@@ -250,20 +245,7 @@ def group_generic(x, features=None):
         )
     else:
         raise TypeError(f"cannot group {x!r}")
-    names = sorted(free_features(x) if features is None else set(features))
-    if len(names) > 20:
-        raise ValueError(f"too many features to enumerate: {len(names)}")
-    buckets: dict[object, FeatExpr] = {}
-    reps: dict[object, object] = {}
-    for c in all_configs(names):
-        plain = configure(x, c)
-        k = key(plain)
-        if k in buckets:
-            buckets[k] = Or(buckets[k], minterm(c, names))
-        else:
-            buckets[k] = minterm(c, names)
-            reps[k] = plain
-    return [(reps[k], simplify(e)) for k, e in buckets.items()]
+    return _group_extensional(x, configure, key, features)
 
 
 # ---------------------------------------------------------------------------

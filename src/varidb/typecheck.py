@@ -46,13 +46,12 @@ from .featexpr import (
     Configuration,
     FeatExpr,
     Not,
-    all_configs,
     conj,
     disj,
-    eval_fexp,
     implies,
     print_fexp,
     sat,
+    solutions,
 )
 from .vra import (
     AttrRef,
@@ -501,9 +500,7 @@ def check_variation_preservation(
     t = type_of(q, schema, check_conditions=check_conditions)
     pushed = t.pushed_attrs()
     violations = []
-    for c in all_configs(sorted(schema.features)):
-        if not eval_fexp(schema.model, c):
-            continue
+    for c in solutions(schema.model, schema.features):
         plain_schema = configure_schema(schema, c)
         plain_q = configure_query(q, c)
         expected = {str(v) for v in configure_vset(pushed, c)}

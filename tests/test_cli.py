@@ -4,7 +4,10 @@ import io
 from pathlib import Path
 
 from varidb.cli import main
-from varidb.featexpr import parse_fexp
+from varidb.featexpr import And, parse_fexp, print_fexp, sat
+from varidb.minimize import minimize
+from varidb.storage import load_vdb
+from varidb.translate import group_query, push_schema
 from varidb.vra import parse_query
 from sql_grammar import check_sql
 
@@ -253,6 +256,25 @@ def test_sql_union_with_relation_member(capsys, monkeypatch):
     assert len(blocks) == 1
     for count in check_sql(blocks[0]):
         assert count == 3  # b1, b2, presCond
+
+
+def test_sql_union_leaves_out_members_the_model_excludes(capsys, monkeypatch):
+    # The `!V4 & !V5` member is reachable by no configuration of the model,
+    # so it can yield no row in any variant and gets no union branch.
+    text = "choice (!V4 & !V5) { proj [empno] empacct } { proj [title] empacct }"
+    code, out, err = run_cli(["sql", EMPLOYEE], text, capsys, monkeypatch)
+    assert code == 0
+    assert err == ""
+    db = load_vdb(EMPLOYEE)
+    model = db.schema.model
+    q = minimize(push_schema(parse_query(text), db.schema), model)
+    group = group_query(q)
+    reachable = [e for _, e in group if sat(And(e, model))]
+    assert len(group) == 2 and len(reachable) == 1
+    blocks, provenances = _statement_blocks(out)
+    assert len(blocks) == 1
+    assert len(check_sql(blocks[0])) == len(reachable)
+    assert provenances == [print_fexp(reachable[0])]
 
 
 # ---------------------------------------------------------------------------

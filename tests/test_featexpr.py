@@ -27,9 +27,13 @@ from varidb.featexpr import (
     parse_fexp,
     parse_fexp_partial,
     print_fexp,
+    _masks,
+    from_minterms,
     sat,
     simplify,
+    solutions,
     taut,
+    witness,
 )
 
 A, B, C = Feature("a"), Feature("b"), Feature("c")
@@ -208,6 +212,116 @@ def test_dpll_path_on_large_formulas():
     chain = and_all(Or(feats[i], feats[i + 1]) for i in range(17))
     assert sat(chain)
     assert not sat(And(chain, and_all(Not(f) for f in feats)))
+
+
+def _random_dag(rng: random.Random, depth: int, names: list[str], pool: list):
+    """Like `_random_fexp`, but reusing earlier subterms and nesting `Not`s.
+
+    `pool` holds (depth budget, subterm) pairs; a subterm is reused only
+    where its budget fits, so sharing never deepens the tree.
+    """
+    fitting = [node for d, node in pool if d <= depth]
+    if fitting and rng.random() < 0.15:
+        return rng.choice(fitting)
+    if depth == 0 or not names or rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.1 or not names:
+            return TRUE if r < 0.05 else FALSE
+        node = Feature(rng.choice(names))
+    else:
+        kind = rng.choice(["not", "notnot", "and", "or"])
+        if kind == "not":
+            node = Not(_random_dag(rng, depth - 1, names, pool))
+        elif kind == "notnot":
+            node = Not(Not(_random_dag(rng, depth - 1, names, pool)))
+        else:
+            left = _random_dag(rng, depth - 1, names, pool)
+            right = _random_dag(rng, depth - 1, names, pool)
+            node = And(left, right) if kind == "and" else Or(left, right)
+    pool.append((depth, node))
+    return node
+
+
+def _differential_cases(rng: random.Random):
+    """Random formulas over 0..16 features, most of them over at most 8:
+    the reference table takes 2^n evaluations, and Quine-McCluskey on a
+    random 12-variable function takes a tenth of a second."""
+    sizes = [rng.randint(0, 8) for _ in range(480)] + [9, 10, 11, 12] * 4 + [13, 14, 15, 16] * 2
+    for n in sizes:
+        names = [f"f{i:02d}" for i in range(n)]
+        e = _random_dag(rng, 5, names, [])
+        if n > 6 and rng.random() < 0.5:
+            # now and then make every feature of the universe matter
+            e = Or(e, and_all(Feature(f) if rng.random() < 0.5 else Not(Feature(f)) for f in names))
+        yield names, e
+
+
+def _reference_solutions(e, universe):
+    return [c for c in all_configs(universe) if eval_fexp(e, c)]
+
+
+def _depends(rows: tuple, step: int) -> bool:
+    """Do the rows of `_table` differ across the variable at offset `step`?"""
+    return any(rows[m] != rows[m | step] for m in range(len(rows)) if not m & step)
+
+
+def test_truth_tables_agree_with_per_assignment_reference():
+    rng = random.Random(2024)
+    for names, e in _differential_cases(rng):
+        support = sorted(features_of(e))
+        n = len(support)
+        rows = _table(e, support)
+        assert sat(e) == any(rows), print_fexp(e)
+        assert taut(e) == all(rows), print_fexp(e)
+        other = _random_dag(rng, 3, support, [])
+        assert equiv(e, other) == (rows == _table(other, support))
+        assert implies(e, other) == all(b for a, b in zip(rows, _table(other, support)) if a)
+        if n <= 12:
+            s = simplify(e)
+            assert _table(s, support) == rows, print_fexp(e)
+            # `product` in `_table` puts support[0] in the highest bit
+            relevant = {f for k, f in enumerate(support) if _depends(rows, 1 << (n - 1 - k))}
+            assert features_of(s) == relevant, print_fexp(e)
+            minterms = [m for m, c in enumerate(all_configs(support)) if eval_fexp(e, c)]
+            assert from_minterms(support, minterms) == s
+        if len(names) <= 10:
+            larger = names + ["g1"]
+            smaller = names[:]
+            if smaller:
+                smaller.remove(rng.choice(smaller))
+            for universe in (larger, smaller):
+                expected = _reference_solutions(e, universe)
+                assert solutions(e, universe) == expected, print_fexp(e)
+                assert witness(e, universe) == (expected[0] if expected else None)
+
+
+def test_solutions_beyond_sixteen_features_go_blockwise():
+    universe = [f"x{i:02d}" for i in range(17)]
+    feats = [Feature(f) for f in universe]
+    e = Or(And(feats[16], Not(feats[3])), And(feats[0], feats[15]))
+    assert solutions(e, universe) == _reference_solutions(e, universe)
+    everything = and_all(feats)
+    assert solutions(everything, universe) == [frozenset(universe)]
+    assert witness(everything, universe) == frozenset(universe)
+    assert witness(And(everything, Not(feats[16])), universe) is None
+    assert witness(Or(everything, Not(feats[16])), universe) == frozenset()
+
+
+def test_variable_masks_match_their_definition():
+    for n in range(17):
+        masks = _masks(n)
+        assert len(masks) == n
+        for k, mask in enumerate(masks):
+            expected = int("".join("1" if m >> k & 1 else "0" for m in reversed(range(1 << n))), 2)
+            assert mask == expected, (n, k)
+
+
+def test_sat_keeps_its_cache_interface():
+    sat.cache_clear()
+    sat(And(A, Not(B)))
+    sat(And(A, Not(B)))
+    info = sat.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 # --- simplify ---

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from varidb.catalog import parse_schema
 from varidb.featexpr import (
     TRUE,
@@ -10,6 +12,7 @@ from varidb.featexpr import (
     all_configs,
     equiv,
     eval_fexp,
+    minterm,
     parse_fexp,
     print_fexp,
     sat,
@@ -241,6 +244,25 @@ def test_group_generic_respects_larger_universe():
     got = {plain_key(p): e for p, e in group_generic(q, features={"f1", "f9"})}
     assert equiv(got[plain_key(Relation("r1"))], Feature("f1"))
     assert equiv(got[plain_key(Relation("r2"))], Not(Feature("f1")))
+
+
+def test_group_generic_limits_and_wide_universes():
+    c = parse_cond("CHC f1 (a = 1) (a = 2)")
+    with pytest.raises(ValueError, match="too many features"):
+        group_generic(c, features=[f"f{i}" for i in range(1, 22)])
+    # Beyond the 12-feature canonical-print limit a bucket's formula is the
+    # disjunction of its minterms, in configuration order.
+    # (The chain is 4096 deep, so it is compared along its left spine.)
+    universe = [f"f{i}" for i in range(1, 14)]
+    got = {cond: e for cond, e in group_generic(c, features=universe)}
+    disjuncts = []
+    e = got[parse_cond("a = 1")]
+    while isinstance(e, Or):
+        disjuncts.append(e.right)
+        e = e.left
+    disjuncts.append(e)
+    expected = [minterm(k, universe) for k in all_configs(universe) if "f1" in k]
+    assert disjuncts[::-1] == expected
 
 
 # ---------------------------------------------------------------------------
