@@ -66,6 +66,7 @@ from .storage import (
     validate_vtable,
 )
 from .translate import (
+    TooManyFeatures,
     configure_query,
     group_generic,
     group_query,

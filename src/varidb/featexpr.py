@@ -10,23 +10,27 @@ Solving strategy: a formula mentioning at most 16 features is decided from
 its truth table, computed in one walk of the formula as a Python int with
 bit m set iff the formula holds at minterm m (features are precomputed
 variable masks; And/Or/Not are `&`/`|`/complement).  Larger formulas go
-through a Tseitin transform and a small DPLL solver.  `simplify` computes a
-minimal disjunctive normal form (Quine-McCluskey with deterministic
-tie-breaking) from the minterms of that table for formulas of at most 12
-features, after first discarding variables the formula does not
-semantically depend on; beyond that it falls back to structural cleanup
-plus a constant-collapse check.  The canonical form is what lets two
-different pipelines print byte-identical annotations for equivalent
-conditions.  The same tables enumerate a formula's satisfying
-configurations (`solutions`) and canonicalize a set of minterms
-(`from_minterms`) without evaluating the formula once per configuration.
+through a Tseitin transform and a small DPLL solver.  For formulas of at
+most 12 features `simplify` works on that table alone and memoizes its
+result per (features, table): it projects away the variables the function
+does not depend on, finds the prime implicants by cofactor masks (the
+table of the cubes with one more don't-care variable is the previous table
+ANDed with itself shifted), and covers the table with essential primes and
+then a greedy choice with deterministic tie-breaking, each prime's
+minterms being a table too.  The result is the minimal disjunctive normal
+form Quine-McCluskey gives with that cover rule (McCluskey 1956).  Beyond
+12 features it falls back to structural cleanup plus a constant-collapse
+check.  The canonical form is what lets two different pipelines print
+byte-identical annotations for equivalent conditions.  The same tables
+enumerate a formula's satisfying configurations (`solutions`) and
+canonicalize a set of minterms (`from_minterms`, through the same memo)
+without evaluating the formula once per configuration.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -475,7 +479,7 @@ def simplify(e: FeatExpr) -> FeatExpr:
     names = sorted(features_of(e))
     if len(names) > _QM_LIMIT:
         return _simplify_structural(e)
-    return _canonical(names, _table_over(e, names))
+    return _canonical(tuple(names), _table_over(e, names))
 
 
 def from_minterms(names: list[str], minterms: Iterable[int]) -> FeatExpr:
@@ -488,102 +492,113 @@ def from_minterms(names: list[str], minterms: Iterable[int]) -> FeatExpr:
     digits = bytearray(b"0" * (1 << len(names)))
     for m in minterms:
         digits[-1 - m] = ord("1")
-    return _canonical(names, int(digits, 2))
+    table = int(digits, 2)
+    if len(names) > _QM_LIMIT and 0 < table < (1 << len(digits)) - 1:
+        return or_all(minterm(_config(names, m), names) for m in _bits(table))
+    return _canonical(tuple(names), table)
 
 
-def _canonical(names: list[str], table: int) -> FeatExpr:
+@lru_cache(maxsize=65536)
+def _canonical(names: tuple[str, ...], table: int) -> FeatExpr:
     """Minimal DNF of the function whose truth table over `names` is `table`.
 
-    Beyond 12 names, the disjunction of its minterms (see `from_minterms`).
+    At most 12 names.  The table alone identifies the function, so it keys
+    the memo.
     """
-    n = len(names)
     if not table:
         return FALSE
-    if table == (1 << (1 << n)) - 1:
+    if table == (1 << (1 << len(names))) - 1:
         return TRUE
-    if n > _QM_LIMIT:
-        return or_all(minterm(_config(names, m), names) for m in _bits(table))
-    names, minterms = _drop_irrelevant(names, table)
-    primes = _prime_implicants(minterms)
-    chosen = _cover(primes, minterms)
-    terms = sorted(_term_key(v, mask, len(names)) for v, mask in chosen)
+    names, table = _drop_irrelevant(names, table)
+    n = len(names)
+    chosen = _pick_cover(_primes(table, n), table)
+    terms = sorted(_term_key(v, mask, n) for v, mask in chosen)
     return or_all(_term_expr(key, names) for key in terms)
 
 
-def _drop_irrelevant(names: list[str], table: int) -> tuple[list[str], set[int]]:
+def _drop_irrelevant(names: tuple[str, ...], table: int) -> tuple[tuple[str, ...], int]:
     """Project away variables whose value never changes membership.
 
-    Variable k is irrelevant iff the table's two cofactors on it agree.
-    Dropping a variable leaves the relevance of every other one unchanged
-    and moves only the variables above it, so each is tested on the
-    original table, from the top down.
+    Variable i is irrelevant iff the table's two cofactors on it agree; the
+    low cofactor, with its gaps squeezed out, is then the table over the
+    other variables.  Going from the top down leaves the indices of the
+    variables still to be tested unchanged.
     """
-    n = len(names)
-    full, masks = (1 << (1 << n)) - 1, _masks(n)
-    minterms = set(_bits(table))
-    for i in range(n - 1, -1, -1):
-        bit = 1 << i
-        low_half = masks[i] ^ full
-        if (table >> bit) & low_half != table & low_half:
+    for i in range(len(names) - 1, -1, -1):
+        n = len(names)
+        full, masks = (1 << (1 << n)) - 1, _masks(n)
+        low = table & (masks[i] ^ full)
+        if (table >> (1 << i)) & (masks[i] ^ full) != low:
             continue
-        low = bit - 1
-        minterms = {(m & low) | ((m >> (i + 1)) << i) for m in minterms if not m & bit}
-        names = names[:i] + names[i + 1 :]
-    return names, minterms
+        for j in range(i, n - 1):
+            low = (low | low >> (1 << j)) & (masks[j + 1] ^ full)
+        names, table = names[:i] + names[i + 1 :], low
+    return names, table
 
 
-def _prime_implicants(minterms: set[int]) -> list[tuple[int, int]]:
-    """Quine-McCluskey combining pass.
+def _primes(table: int, n: int) -> list[tuple[int, int]]:
+    """The prime implicants of a truth table over n variables.
 
     Implicants are (values, dontcare_mask) pairs with don't-care bits zeroed
-    in `values`; two implicants merge when they share a mask and differ in
-    exactly one care bit.
+    in `values`.  `cubes[S]` has bit v set iff the cube through v with
+    don't-care set S lies inside the function.  For k not in S, the cube
+    through v with k a don't-care too is the union of those through v and
+    v + 2^k, so `cubes[S | 2^k]` is `cubes[S]` ANDed with itself shifted
+    down by 2^k, at the v whose bit k is clear.  Each S is built from S
+    minus its highest variable, and an empty table ends the branch.  An
+    implicant is prime iff no cube with one more don't-care contains it.
     """
-    current = {(m, 0) for m in minterms}
-    primes: list[tuple[int, int]] = []
-    while current:
-        groups: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for v, mask in current:
-            groups[(mask, v.bit_count())].append(v)
-        merged: set[tuple[int, int]] = set()
-        nxt: set[tuple[int, int]] = set()
-        for (mask, ones), values in groups.items():
-            for v1 in values:
-                for v2 in groups.get((mask, ones + 1), ()):
-                    diff = v1 ^ v2
-                    if diff.bit_count() == 1:
-                        nxt.add((v1 & ~diff, mask | diff))
-                        merged.add((v1, mask))
-                        merged.add((v2, mask))
-        primes.extend(sorted(t for t in current if t not in merged))
-        current = nxt
+    full, masks = (1 << (1 << n)) - 1, _masks(n)
+    cubes = {0: table}
+    order = [0]
+    for s in order:
+        t = cubes[s]
+        for k in range(s.bit_length(), n):
+            u = t & (t >> (1 << k)) & (masks[k] ^ full)
+            if u:
+                cubes[s | 1 << k] = u
+                order.append(s | 1 << k)
+    primes = []
+    for s, t in cubes.items():
+        for k in range(n):
+            wider = 0 if s >> k & 1 else cubes.get(s | 1 << k, 0)
+            t &= ~(wider | wider << (1 << k))
+        primes.extend((v, s) for v in _bits(t))
     return primes
 
 
-def _covers(prime: tuple[int, int], m: int) -> bool:
-    v, mask = prime
-    return m & ~mask == v
+def _pick_cover(primes: list[tuple[int, int]], table: int) -> list[tuple[int, int]]:
+    """Essential primes first, then a deterministic greedy set cover.
 
-
-def _cover(primes: list[tuple[int, int]], minterms: set[int]) -> list[tuple[int, int]]:
-    """Essential primes first, then a deterministic greedy set cover."""
-    chosen: list[tuple[int, int]] = []
-    for m in sorted(minterms):
-        covering = [p for p in primes if _covers(p, m)]
-        if len(covering) == 1 and covering[0] not in chosen:
-            chosen.append(covering[0])
-    remaining = {m for m in minterms if not any(_covers(p, m) for p in chosen)}
+    Each prime's minterms form a table too.  A minterm covered once but not
+    twice makes its prime essential; the greedy step takes the prime that
+    covers the most remaining minterms, then the widest, then the least.
+    """
+    cubes = []
+    for v, mask in primes:
+        c = 1 << v
+        for k in _bits(mask):
+            c |= c << (1 << k)
+        cubes.append(c)
+    once = twice = 0
+    for c in cubes:
+        twice |= once & c
+        once |= c
+    single = once & ~twice
+    chosen, remaining = [], table
+    for p, c in zip(primes, cubes):
+        if c & single:
+            chosen.append(p)
+            remaining &= ~c
+    candidates = [(p, c) for p, c in zip(primes, cubes) if c & remaining]
     while remaining:
-        best = min(
-            primes,
-            key=lambda p: (
-                -sum(1 for m in remaining if _covers(p, m)),
-                -p[1].bit_count(),
-                p,
-            ),
+        best, c = min(
+            candidates,
+            key=lambda pc: (-(pc[1] & remaining).bit_count(), -pc[0][1].bit_count(), pc[0]),
         )
         chosen.append(best)
-        remaining -= {m for m in remaining if _covers(best, m)}
+        remaining &= ~c
+        candidates = [pc for pc in candidates if pc[1] & remaining]
     return chosen
 
 

@@ -119,6 +119,10 @@ def configure_query(q: VQuery, config: Configuration) -> PlainQuery:
 # ---------------------------------------------------------------------------
 
 
+class TooManyFeatures(ValueError):
+    """Extensional grouping would enumerate more than 2^20 configurations."""
+
+
 def _group_extensional(x, configure, key, features=None):
     """Bucket x's configured forms over `features` (default: its own).
 
@@ -128,7 +132,9 @@ def _group_extensional(x, configure, key, features=None):
     """
     names = sorted(free_features(x) if features is None else set(features))
     if len(names) > 20:
-        raise ValueError(f"too many features to enumerate: {len(names)}")
+        raise TooManyFeatures(
+            f"too many features to enumerate: {len(names)} (the limit is 20)"
+        )
     buckets: dict[object, list[int]] = {}
     reps: dict[object, object] = {}
     for m, c in enumerate(all_configs(names)):

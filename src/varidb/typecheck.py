@@ -73,6 +73,7 @@ from .vra import (
     SetOp,
     VCondition,
     VQuery,
+    free_features,
 )
 from .vset import VElem, VSet, configure_vset, print_vset, push_annotation, subsumes, vset_equiv, vset_intersect, vset_union
 
@@ -105,9 +106,9 @@ class QueryType:
 class VTypeError(Exception):
     """A typing rule's side-condition failed.
 
-    kind is one of: UnknownRelation, UnsatContext, NotSubsumed,
-    AttrNotInType, ContextNotImplied, TypeMismatch, NotDisjoint,
-    NotEquivalent, DomainViolation.
+    kind is one of: UndeclaredFeature, UnknownRelation, UnsatContext,
+    NotSubsumed, AttrNotInType, ContextNotImplied, TypeMismatch,
+    NotDisjoint, NotEquivalent, DomainViolation.
     """
 
     def __init__(self, kind: str, path: str, detail: str):
@@ -135,8 +136,17 @@ def type_of(
     ``check_conditions=False`` selection and join conditions are not checked,
     which is useful for computing the result shape of queries produced by
     rewriting (whose conditions can mention attributes more liberally than
-    the source-level rules allow).
+    the source-level rules allow).  Every feature the query mentions must be
+    declared by the schema, as configurations range over declared features
+    only.
     """
+    undeclared = free_features(q) - frozenset(schema.features)
+    if undeclared:
+        raise VTypeError(
+            "UndeclaredFeature",
+            "query",
+            f"feature {sorted(undeclared)[0]} is not declared in the schema",
+        )
     if ctx is None:
         ctx = schema.model
     if not sat(ctx):

@@ -48,6 +48,41 @@ def test_check_reports_type_errors(capsys, monkeypatch):
     assert out.startswith("ERROR NotSubsumed at query:")
 
 
+UNDECLARED_TEXT = "choice Z { proj [empno] empacct } { proj [title] empacct }"
+
+
+def test_check_rejects_undeclared_features(capsys, monkeypatch):
+    code, out, err = run_cli(["check", EMPLOYEE], UNDECLARED_TEXT, capsys, monkeypatch)
+    assert code == 2
+    assert out == "ERROR UndeclaredFeature at query: feature Z is not declared in the schema\n"
+
+
+def test_answering_rejects_undeclared_features(capsys, monkeypatch):
+    # the two run strategies used to disagree: group left Z free, configure
+    # read it as always disabled
+    for argv in (
+        ["run", "--strategy", "group", EMPLOYEE],
+        ["run", "--strategy", "configure", EMPLOYEE],
+        ["group", EMPLOYEE],
+        ["sql", EMPLOYEE],
+    ):
+        code, out, err = run_cli(argv, UNDECLARED_TEXT, capsys, monkeypatch)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("type error: UndeclaredFeature") and err.count("\n") == 1
+
+
+def test_grouping_beyond_twenty_features_exits_1(tmp_path, capsys, monkeypatch):
+    names = [f"g{i}" for i in range(24)]
+    (tmp_path / "schema.vschema").write_text(
+        f"features {', '.join(names)}\nrelation r (a1 int, a2 int)\n"
+    )
+    (tmp_path / "r.csv").write_text("a1,a2,presCond\n1,2,true\n")
+    text = f"proj [a1, a2 # {' & '.join(names)}] r"
+    code, out, err = run_cli(["group", str(tmp_path)], text, capsys, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "error: too many features to enumerate: 24 (the limit is 20)\n"
+
+
 def test_syntax_errors_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(["check", TOY], "proj [[", capsys, monkeypatch)
     assert code == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,9 @@ from varidb.featexpr import (
     parse_fexp,
     parse_fexp_partial,
     print_fexp,
+    _canonical,
     _masks,
+    _primes,
     from_minterms,
     sat,
     simplify,
@@ -37,6 +40,7 @@ from varidb.featexpr import (
 )
 
 A, B, C = Feature("a"), Feature("b"), Feature("c")
+_FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 # --- independent truth-table oracle (used instead of the module's solvers) ---
@@ -243,9 +247,8 @@ def _random_dag(rng: random.Random, depth: int, names: list[str], pool: list):
 
 
 def _differential_cases(rng: random.Random):
-    """Random formulas over 0..16 features, most of them over at most 8:
-    the reference table takes 2^n evaluations, and Quine-McCluskey on a
-    random 12-variable function takes a tenth of a second."""
+    """Random formulas over 0..16 features, most of them over at most 8,
+    because the reference table takes 2^n evaluations."""
     sizes = [rng.randint(0, 8) for _ in range(480)] + [9, 10, 11, 12] * 4 + [13, 14, 15, 16] * 2
     for n in sizes:
         names = [f"f{i:02d}" for i in range(n)]
@@ -324,6 +327,56 @@ def test_sat_keeps_its_cache_interface():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
+def _primes_by_definition(table: int, n: int) -> list[tuple[int, int]]:
+    """The maximal cubes inside the function, found by testing every cube.
+
+    A cube is (values, dontcare_mask) with `values & dontcare_mask == 0`;
+    its minterms are `values` plus every subset of the mask.
+    """
+    size = 1 << n
+    base = [sum(1 << m for m in range(size) if not m & ~s) for s in range(size)]
+    inside = {
+        (v, s)
+        for s in range(size)
+        for v in range(size)
+        if not v & s and not (base[s] << v) & ~table
+    }
+    return sorted(
+        (v, s)
+        for v, s in inside
+        if not any((v & ~(1 << k), s | 1 << k) in inside for k in range(n) if not s >> k & 1)
+    )
+
+
+def test_primes_match_their_definition():
+    rng = random.Random(1956)
+    for n in range(9):
+        full = (1 << (1 << n)) - 1
+        tables = [0, full, 1 << rng.randrange(1 << n)]
+        tables += [rng.getrandbits(1 << n) & rng.getrandbits(1 << n) for _ in range(3)]
+        tables += [rng.getrandbits(1 << n) | rng.getrandbits(1 << n) for _ in range(3)]
+        for table in tables:
+            assert sorted(_primes(table, n)) == _primes_by_definition(table, n), (n, table)
+
+
+def test_dense_ten_variable_function_canonicalizes():
+    rng = random.Random(10)
+    names = [f"d{k}" for k in range(10)]
+    minterms = {m for m in range(1 << 10) if rng.random() < 0.5}
+    e = from_minterms(names, minterms)
+    assert features_of(e) == set(names)
+    assert solutions(e, names) == [c for m, c in enumerate(all_configs(names)) if m in minterms]
+
+
+def test_canonical_memo_keeps_its_cache_interface():
+    _canonical.cache_clear()
+    a = simplify(parse_fexp("a & b | a & !b"))
+    b = from_minterms(["a", "b"], [1, 3])
+    info = _canonical.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 65536)
+    assert a is b and a == A
+
+
 # --- simplify ---
 
 
@@ -376,6 +429,52 @@ def test_simplify_properties_random():
         assert simplify(e) == s
         # canonical: simplifying any reassociation prints identically
         assert print_fexp(simplify(Or(e, e))) == print_fexp(s)
+
+
+def _random_literals(rng: random.Random, names: list[str], p: float) -> list:
+    return [
+        Feature(f) if rng.random() < 0.5 else Not(Feature(f))
+        for f in names
+        if rng.random() < p
+    ]
+
+
+def _golden_formulas():
+    """The seeded corpus of `fixtures/canonical_golden.txt`, over 0..12 features.
+
+    Four shapes in turn: random formulas with shared subterms, unions of
+    random cubes, disjunctions of random minterms over at most 6 features
+    (dense ones too), and conjunctions of random clauses over at most 9.
+    """
+    rng = random.Random(1956)
+    for i in range(520):
+        names = [f"g{k:02d}" for k in range(i % 13)]
+        shape = i // 13 % 4
+        if shape == 0:
+            yield _random_dag(rng, 5, names, [])
+        elif shape == 1:
+            cubes = [_random_literals(rng, names, 0.5) for _ in range(rng.randint(1, 10))]
+            yield or_all(and_all(c) for c in cubes)
+        elif shape == 2:
+            universe = names[:6]
+            density = rng.random()
+            chosen = [c for c in all_configs(universe) if rng.random() < density]
+            yield or_all(minterm(c, universe) for c in chosen)
+        else:
+            clauses = [_random_literals(rng, names[:9], 0.4) for _ in range(rng.randint(1, 8))]
+            yield and_all(or_all(c) for c in clauses)
+
+
+def test_simplify_matches_golden_corpus():
+    """Canonical forms are pinned byte for byte, so that a change to the
+    prime or cover computation cannot reorder or swap a printed term."""
+    lines = (_FIXTURES / "canonical_golden.txt").read_text().splitlines()
+    formulas = list(_golden_formulas())
+    assert len(lines) == len(formulas) >= 500
+    for e, line in zip(formulas, lines):
+        text, expected = line.split("\t")
+        assert print_fexp(e) == text
+        assert print_fexp(simplify(e)) == expected, text
 
 
 def _subtrees(e):

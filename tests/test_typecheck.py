@@ -101,6 +101,22 @@ def test_unknown_relation():
     assert e.path == "query"
 
 
+def test_undeclared_feature_anywhere_in_the_query():
+    # a choice dimension, a projection annotation, a condition choice, and a
+    # dead branch that is never typed: each names a feature TOY lacks
+    for text in (
+        "choice Z { proj [a2] r } { proj [a3] r }",
+        "proj [a2 # f1 & Z] r",
+        "sel (CHC Z (a2 = 1) (true)) r",
+        "choice f1 & !f1 { choice Z { r } { r } } { r }",
+    ):
+        e = err(text, TOY)
+        assert (e.kind, e.path) == ("UndeclaredFeature", "query"), text
+        assert "feature Z is not declared" in e.detail
+    e = err("choice Z { r } { r }", TOY, check_conditions=False)
+    assert e.kind == "UndeclaredFeature"
+
+
 def test_unsat_context_on_relation():
     e = err("r", TOY, ctx=parse_fexp("!f1 & !f2"))
     assert e.kind == "UnsatContext"
