@@ -7,8 +7,9 @@ schema onto the query, minimize (unless --no-minimize), and hand the result
 to the requested backend.
 
 Exit codes: 0 success, 1 I/O or data errors (and a projection list or
-condition over more than 20 features, which grouping cannot enumerate),
-2 type errors, 3 syntax errors.
+condition over more than 20 features, which grouping cannot enumerate, or
+input nested deeper than the interpreter's recursion limit), 2 type
+errors, 3 syntax errors.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ class _Usage(Exception):
 
 
 def _read_query_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
     try:
+        if path is None or path == "-":
+            return sys.stdin.read()
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read query file: {exc}") from exc
 
 
@@ -297,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (OSError, StorageError, CatalogError, SqlError, TooManyFeatures) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 1
 
 

@@ -23,8 +23,9 @@ form Quine-McCluskey gives with that cover rule (McCluskey 1956).  Beyond
 check.  The canonical form is what lets two different pipelines print
 byte-identical annotations for equivalent conditions.  The same tables
 enumerate a formula's satisfying configurations (`solutions`) and
-canonicalize a set of minterms (`from_minterms`, through the same memo)
-without evaluating the formula once per configuration.
+canonicalize a set of minterms or a table (`from_minterms`, `from_table`,
+through the same memo) without evaluating the formula once per
+configuration.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def _truth_table(e: FeatExpr, leaves: dict[str, int], n: int) -> int:
 def _table_over(e: FeatExpr, names: list[str]) -> int:
     """The truth table of `e` with bit k of a minterm standing for `names[k]`.
 
-    Bit order is that of `all_configs` over sorted `names` (at most 16).
+    Bit order is that of `all_configs` over sorted `names` (at most 20).
     """
     return _truth_table(e, dict(zip(names, _masks(len(names)))), len(names))
 
@@ -485,15 +486,22 @@ def simplify(e: FeatExpr) -> FeatExpr:
 def from_minterms(names: list[str], minterms: Iterable[int]) -> FeatExpr:
     """The canonical formula holding exactly at `minterms` over sorted `names`.
 
-    Bit k of a minterm is the state of `names[k]`, as in `all_configs`.  Up
-    to 12 names this is `simplify` of the minterms' disjunction; above that,
-    the disjunction itself in ascending order unless it is constant.
+    Bit k of a minterm is the state of `names[k]`, as in `all_configs`.
     """
     digits = bytearray(b"0" * (1 << len(names)))
     for m in minterms:
         digits[-1 - m] = ord("1")
-    table = int(digits, 2)
-    if len(names) > _QM_LIMIT and 0 < table < (1 << len(digits)) - 1:
+    return from_table(names, int(digits, 2))
+
+
+def from_table(names: list[str], table: int) -> FeatExpr:
+    """The canonical formula whose truth table over sorted `names` is `table`.
+
+    Bit m of the table is minterm m, as in `_table_over`.  Up to 12 names
+    this is `simplify` of the minterms' disjunction; above that, the
+    disjunction itself in ascending order unless it is constant.
+    """
+    if len(names) > _QM_LIMIT and 0 < table < (1 << (1 << len(names))) - 1:
         return or_all(minterm(_config(names, m), names) for m in _bits(table))
     return _canonical(tuple(names), table)
 

@@ -25,10 +25,12 @@ from .featexpr import (
     FeatExpr,
     Not,
     Or,
+    _table_over,
     all_configs,
     conj,
     eval_fexp,
     from_minterms,
+    from_table,
     sat,
     simplify,
 )
@@ -123,6 +125,16 @@ class TooManyFeatures(ValueError):
     """Extensional grouping would enumerate more than 2^20 configurations."""
 
 
+def _names(x, features=None) -> list[str]:
+    """Sorted `features` (default: x's own), at most 20 of them."""
+    names = sorted(free_features(x) if features is None else set(features))
+    if len(names) > 20:
+        raise TooManyFeatures(
+            f"too many features to enumerate: {len(names)} (the limit is 20)"
+        )
+    return names
+
+
 def _group_extensional(x, configure, key, features=None):
     """Bucket x's configured forms over `features` (default: its own).
 
@@ -130,11 +142,7 @@ def _group_extensional(x, configure, key, features=None):
     canonical formula of the configurations giving that form, read off the
     bucket's minterms.
     """
-    names = sorted(free_features(x) if features is None else set(features))
-    if len(names) > 20:
-        raise TooManyFeatures(
-            f"too many features to enumerate: {len(names)} (the limit is 20)"
-        )
+    names = _names(x, features)
     buckets: dict[object, list[int]] = {}
     reps: dict[object, object] = {}
     for m, c in enumerate(all_configs(names)):
@@ -153,12 +161,28 @@ def group_cond(c: VCondition) -> list[tuple[VCondition, FeatExpr]]:
 
 
 def group_attrs(attrs: VSet) -> list[tuple[VSet, FeatExpr]]:
-    """Distinct configured projection lists with their covering fexps."""
+    """Distinct configured projection lists with their covering fexps.
 
-    def configure(x, c):
-        return VSet(tuple(VElem(el.value, TRUE) for el in x if eval_fexp(el.pc, c)))
-
-    return _group_extensional(attrs, configure, lambda p: tuple(v for v in p.values()))
+    `_group_extensional`'s pairs, by refinement instead of enumeration: each
+    element's truth table splits every block of configurations into those
+    that keep the element and those that drop it.  Ordering blocks by their
+    lowest minterm gives enumeration's first-seen order.
+    """
+    names = _names(attrs)
+    blocks = [((1 << (1 << len(names))) - 1, ())]
+    for el in attrs:
+        t = _table_over(el.pc, names)
+        blocks = [
+            (part, kept + (el.value,) * inside)
+            for b, kept in blocks
+            for part, inside in ((b & t, True), (b & ~t, False))
+            if part
+        ]
+    blocks.sort(key=lambda block: (block[0] & -block[0]).bit_length())
+    return [
+        (VSet(tuple(VElem(v, TRUE) for v in kept)), from_table(names, b))
+        for b, kept in blocks
+    ]
 
 
 def group_query(q: VQuery) -> QueryGroup:

@@ -30,6 +30,11 @@ Rules, one per query form:
   result.
 * the empty relation types as no attributes annotated false.
 
+Applying a type's annotation to its attributes (`QueryType.pushed_attrs`)
+is done once per type, on the annotation's canonical form rather than on
+the structural annotation, which grows with every choice below it.  The
+annotation itself stays structural, so printed types do not change.
+
 The companion plain rules (`plain_type`) type configured queries against a
 configured schema, and `check_variation_preservation` confirms the two sides
 commute configuration by configuration.
@@ -38,19 +43,24 @@ commute configuration by configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .catalog import AttrType, PlainSchema, VSchema, configure_schema
 from .featexpr import (
+    _QM_LIMIT,
     FALSE,
+    TRUE,
     And,
     Configuration,
     FeatExpr,
     Not,
     conj,
     disj,
+    features_of,
     implies,
     print_fexp,
     sat,
+    simplify,
     solutions,
 )
 from .vra import (
@@ -75,7 +85,7 @@ from .vra import (
     VQuery,
     free_features,
 )
-from .vset import VElem, VSet, configure_vset, print_vset, push_annotation, subsumes, vset_equiv, vset_intersect, vset_union
+from .vset import VElem, VSet, configure_vset, print_vset, subsumes, vset_equiv, vset_intersect, vset_union
 
 
 @dataclass(frozen=True)
@@ -93,8 +103,25 @@ class QueryType:
     info: dict[str, AttrInfo]
 
     def pushed_attrs(self) -> VSet:
-        """The attribute set with the annotation applied to every element."""
-        return push_annotation(VSet(self.attrs.elements, self.annotation))
+        """`push_annotation(VSet(attrs.elements, annotation))`, once per type."""
+        return self._pushed
+
+    @cached_property
+    def _pushed(self) -> VSet:
+        if self.annotation == TRUE:
+            return self.attrs
+        # Up to 12 features `simplify` depends only on the function, so the
+        # annotation's canonical form can stand in for it; above that it is
+        # structural, and only the annotation itself gives the same result.
+        names = features_of(self.annotation)
+        canonical = simplify(self.annotation) if len(names) <= _QM_LIMIT else None
+        pushed = []
+        for el in self.attrs:
+            wide = len(names | features_of(el.pc)) > _QM_LIMIT
+            pc = simplify(And(el.pc, self.annotation if wide else canonical))
+            if pc != FALSE:
+                pushed.append(VElem(el.value, pc))
+        return VSet(tuple(pushed))
 
     def render(self) -> str:
         return print_vset(VSet(self.attrs.elements, self.annotation))
@@ -197,9 +224,7 @@ def _type_query(
             name = _resolve_name(str(el.value), sub, path)
             resolved.append(VElem(name, el.pc))
         projected = VSet(tuple(resolved))
-        if not subsumes(
-            VSet(projected.elements, ctx), VSet(sub.attrs.elements, sub.annotation)
-        ):
+        if not subsumes(VSet(projected.elements, ctx), sub.pushed_attrs()):
             raise VTypeError(
                 "NotSubsumed",
                 path,
@@ -221,10 +246,7 @@ def _type_query(
             t2 = _type_query(q.right, rctx, s, path + ".right", strict, conds)
         else:
             t2 = _empty_type()
-        attrs = vset_union(
-            VSet(t1.attrs.elements, t1.annotation),
-            VSet(t2.attrs.elements, t2.annotation),
-        )
+        attrs = vset_union(t1.pushed_attrs(), t2.pushed_attrs())
         info = dict(t1.info)
         for name, inf in t2.info.items():
             if name in info:
@@ -264,10 +286,7 @@ def _type_query(
     if isinstance(q, SetOp):
         t1 = _type_query(q.left, ctx, s, path + ".left", strict, conds)
         t2 = _type_query(q.right, ctx, s, path + ".right", strict, conds)
-        if not vset_equiv(
-            VSet(t1.attrs.elements, t1.annotation),
-            VSet(t2.attrs.elements, t2.annotation),
-        ):
+        if not vset_equiv(t1.pushed_attrs(), t2.pushed_attrs()):
             raise VTypeError(
                 "NotEquivalent",
                 path,

@@ -456,7 +456,10 @@ def _parse_proj_list(text: str, start: int) -> tuple[VSet, int]:
         if i < len(text) and text[i] == "#":
             pc, i = parse_fexp_partial(text, i + 1)
             i = _skip_ws(text, i)
-        items.append(VElem(name, pc))
+        try:
+            items.append(VElem(name, pc))
+        except ValueError as exc:  # an unsatisfiable presence condition
+            raise ParseError(str(exc), m.start()) from exc
         if i < len(text) and text[i] == ",":
             i = _skip_ws(text, i + 1)
             continue

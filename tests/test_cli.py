@@ -83,6 +83,27 @@ def test_grouping_beyond_twenty_features_exits_1(tmp_path, capsys, monkeypatch):
     assert err == "error: too many features to enumerate: 24 (the limit is 20)\n"
 
 
+def test_deeply_nested_conditions_exit_1(tmp_path, capsys, monkeypatch):
+    # a 3000-term presence condition overflows the recursive walkers
+    for f in Path(TOY).iterdir():
+        (tmp_path / f.name).write_text(f.read_text())
+    deep = " | ".join(["f1"] * 3000)
+    with open(tmp_path / "r.csv", "a") as csv:
+        csv.write(f"6,60,600,{deep}\n")
+    for argv in (["variants"], ["run"], ["check"]):
+        code, out, err = run_cli([*argv, str(tmp_path)], "proj [a1] r", capsys, monkeypatch)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: input nested too deeply to process\n"
+
+
+def test_unsatisfiable_projection_item_exits_3(capsys, monkeypatch):
+    for argv in (["check", TOY], ["run", TOY]):
+        code, out, err = run_cli(argv, "proj [a2, a1 # f1 & !f1] r", capsys, monkeypatch)
+        assert (code, out) == (3, "")
+        assert err.startswith("syntax error: unsatisfiable presence condition")
+        assert err.count("\n") == 1
+
+
 def test_syntax_errors_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(["check", TOY], "proj [[", capsys, monkeypatch)
     assert code == 3

@@ -6,6 +6,7 @@ import pytest
 
 from varidb.catalog import parse_schema
 from varidb.featexpr import (
+    FALSE,
     TRUE,
     Feature,
     Not,
@@ -19,8 +20,11 @@ from varidb.featexpr import (
     taut,
     And,
     Or,
+    and_all,
+    or_all,
 )
 from varidb.translate import (
+    TooManyFeatures,
     configure_cond,
     configure_query,
     group_attrs,
@@ -39,6 +43,7 @@ from varidb.vra import (
     plain_key,
     print_query,
 )
+from varidb.vset import VElem, VSet
 
 TOY = parse_schema(
     """
@@ -311,3 +316,89 @@ def test_push_keeps_dead_branches_untouched():
     ctx_free = parse_query("choice f1 { proj [a1] r } { proj [a9] r }")
     pushed = push_schema(ctx_free, TOY, ctx=Feature("f1"))
     assert pushed.right == parse_query("proj [a9] r")
+
+
+# ---------------------------------------------------------------------------
+# group_attrs against the enumerating oracle
+# ---------------------------------------------------------------------------
+
+
+def _same_tree(a, b):
+    """Structural equality without recursion: wide groups are minterm
+    disjunctions thousands of nodes deep."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (And, Or)):
+            stack += [(x.left, y.left), (x.right, y.right)]
+        elif isinstance(x, Not):
+            stack.append((x.operand, y.operand))
+        elif x != y:
+            return False
+    return True
+
+
+def _random_pc(rng, names, earlier):
+    """A satisfiable condition: a constant one, one equal in function to an
+    earlier condition but not in form, or a union of random cubes."""
+    roll = rng.random()
+    if not names or roll < 0.15:
+        constants = [TRUE, Not(FALSE), Or(FALSE, TRUE)]
+        if names:
+            f = Feature(rng.choice(names))
+            constants.append(Or(f, Not(f)))
+        return rng.choice(constants)
+    if earlier and roll < 0.35:
+        p = rng.choice(earlier)
+        return rng.choice([Not(Not(p)), And(p, p), Or(p, FALSE)])
+    cubes = [
+        and_all(
+            Feature(n) if rng.random() < 0.5 else Not(Feature(n))
+            for n in rng.sample(names, rng.randint(1, min(3, len(names))))
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+    return or_all(cubes)
+
+
+def _random_attr_list(rng, n):
+    """Up to seven attributes whose conditions span exactly n features."""
+    names = [f"h{k:02d}" for k in range(n)]
+    pcs = []
+    for _ in range(rng.randint(0, 6)):
+        pcs.append(_random_pc(rng, names, pcs))
+    if names:  # one clause over every feature
+        pcs.append(or_all(Feature(f) if rng.random() < 0.5 else Not(Feature(f)) for f in names))
+    return VSet(tuple(VElem(f"x{i}", pc) for i, pc in enumerate(pcs)))
+
+
+def _same_groups(got, expected):
+    return [tuple(v.values()) for v, _ in got] == [tuple(p) for p, _ in expected] and all(
+        _same_tree(e1, e2) for (_, e1), (_, e2) in zip(got, expected)
+    )
+
+
+def test_group_attrs_matches_the_enumerating_oracle():
+    # Above 12 features every group formula is a minterm disjunction, so one
+    # 13-feature list costs as much as all the smaller ones together.
+    rng = random.Random(2019)
+    for n in list(range(13)) * 3 + [13]:
+        attrs = _random_attr_list(rng, n)
+        assert _same_groups(group_attrs(attrs), group_generic(attrs)), n
+
+
+def test_group_attrs_wide_lists_and_the_cap():
+    # constant conditions over 14 and 17 features: one group, true
+    for n in (14, 17):
+        every = or_all(Or(Feature(f"h{k:02d}"), Not(Feature(f"h{k:02d}"))) for k in range(n))
+        h03 = Feature("h03")
+        attrs = VSet((VElem("x0", every), VElem("x1", Or(h03, Not(h03))), VElem("x2")))
+        got = group_attrs(attrs)
+        assert [(tuple(v.values()), e) for v, e in got] == [(("x0", "x1", "x2"), TRUE)]
+        if n == 14:
+            assert _same_groups(got, group_generic(attrs))
+    wider = VSet((VElem("x0", or_all(Feature(f"h{k:02d}") for k in range(21))),))
+    with pytest.raises(TooManyFeatures, match="too many features to enumerate: 21"):
+        group_attrs(wider)

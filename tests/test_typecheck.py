@@ -1,10 +1,11 @@
 """Typing rules: worked examples, every error kind, and the commuting check."""
 
+import random
 from pathlib import Path
 
 import pytest
 
-from varidb.catalog import AttrType, parse_schema
+from varidb.catalog import AttrType, CatalogError, parse_schema
 from varidb.featexpr import (
     TRUE,
     And,
@@ -14,7 +15,9 @@ from varidb.featexpr import (
     equiv,
     parse_fexp,
     print_fexp,
+    taut,
 )
+from varidb.relengine import result_schema
 from varidb.typecheck import (
     PlainTypeError,
     QueryType,
@@ -25,7 +28,7 @@ from varidb.typecheck import (
     type_of,
 )
 from varidb.vra import parse_cond, parse_query
-from varidb.vset import VSet, vset_equiv
+from varidb.vset import VSet, print_vset, push_annotation, vset_equiv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -404,3 +407,149 @@ def test_pushed_employee_queries_preserve_variation():
     ]:
         q = push_schema(parse_query(text), EMPLOYEE)
         assert check_variation_preservation(q, EMPLOYEE) == [], text
+
+
+# ---------------------------------------------------------------------------
+# Golden typing corpus
+# ---------------------------------------------------------------------------
+
+_WIDE_RELATIONS = (
+    "relation r (a int, b int # {0}, c int # {1})\n"
+    "relation s (d int, e int # !{0}, g text)\n"
+)
+
+
+def _wide_schema(n):
+    names = [f"w{k:02d}" for k in range(1, n + 1)]
+    return parse_schema(
+        f"features {', '.join(names)}\n" + _WIDE_RELATIONS.format(names[0], names[1])
+    )
+
+
+#: The toy and employee fixtures, and two schemas of 12 and 14 features:
+#: `simplify` is canonical up to 12 features and structural above.
+_GOLDEN_SCHEMAS = (
+    ("toy", parse_schema((FIXTURES / "toy" / "schema.vschema").read_text())),
+    ("employee", EMPLOYEE),
+    ("wide12", _wide_schema(12)),
+    ("wide14", _wide_schema(14)),
+)
+
+_CONSTANTS = {AttrType.INTEGER: "3", AttrType.TEXT: '"x"', AttrType.BOOLEAN: "true"}
+
+
+def _golden_fexp(rng, features):
+    a, b = rng.sample(features, 2)
+    c, d = rng.choice(features), rng.choice(features)
+    return rng.choice(
+        [a, f"!{a}", f"{a} | {b}", f"{a} & !{b}", f"!({a} & {b})", f"{a} | !{a}", "true",
+         f"{a} & {b} | {c} & !{d}"]
+    )
+
+
+def _golden_leaf(rng, schema, features):
+    if rng.random() < 0.05:
+        return "empty"
+    rel = schema.relations[rng.choice(sorted(schema.relations))]
+    attrs = list(rel.attrs)
+    sel = ""
+    if rng.random() < 0.5:
+        a = rng.choice(attrs)
+        sel = f"sel ({a.name} = {_CONSTANTS[a.atype]}) "
+    if rng.random() < 0.2:
+        return f"{sel}{rel.name}"
+    items = []
+    for a in rng.sample(attrs, rng.randint(1, min(4, len(attrs)))):
+        pc = _golden_fexp(rng, features) if rng.random() < 0.5 else None
+        items.append(a.name if pc is None else f"{a.name} # {pc}")
+    return f"proj [{', '.join(items)}] {sel}{rel.name}"
+
+
+def _golden_tree(rng, schema, depth):
+    features = list(schema.features)
+    if depth == 0:
+        return _golden_leaf(rng, schema, features)
+    dim = _golden_fexp(rng, features)
+    left = _golden_tree(rng, schema, depth - 1)
+    right = _golden_tree(rng, schema, depth - 1)
+    return f"choice {dim} {{ {left} }} {{ {right} }}"
+
+
+def _golden_trees():
+    """The seeded corpus of `fixtures/typecheck_golden.txt`: 80 choice trees
+    of depth 1 to 3 per schema, every fifth typed with a strict context."""
+    rng = random.Random(1911)
+    for name, schema in _GOLDEN_SCHEMAS:
+        for i in range(80):
+            yield name, schema, _golden_tree(rng, schema, 1 + i % 3), i % 5 == 4
+
+
+def _golden_line(name, schema, text, strict):
+    """Schema, query, `check`'s verdict, the pushed attribute set and the
+    result schema's attribute names, TAB-separated."""
+    q = parse_query(text)
+    try:
+        t = type_of(q, schema, strict_context=strict)
+        verdict, pushed = f"OK: {t.render()}", print_vset(t.pushed_attrs())
+    except VTypeError as exc:
+        verdict, pushed = f"ERROR {exc.kind} at {exc.path}: {exc.detail}", "-"
+    try:
+        names = ",".join(result_schema(q, schema).attr_names())
+    except (VTypeError, CatalogError) as exc:
+        names = f"ERROR {type(exc).__name__}"
+    return "\t".join((name, text, verdict, pushed, names))
+
+
+def test_typing_matches_golden_corpus():
+    """Types, pushed sets and result schemas are pinned byte for byte, so
+    that a change in how annotations are pushed cannot alter a printed
+    presence condition.
+
+    The fixture holds `_golden_line` of every tree of `_golden_trees()`,
+    one per line, written with the `src` of commit 7094dfd (whose
+    `pushed_attrs` still pushed the structural annotation) first on
+    PYTHONPATH.
+    """
+    lines = (FIXTURES / "typecheck_golden.txt").read_text().splitlines()
+    trees = list(_golden_trees())
+    assert len(lines) == len(trees) >= 200
+    for (name, schema, text, strict), line in zip(trees, lines):
+        assert _golden_line(name, schema, text, strict) == line
+
+
+def test_golden_corpus_covers_true_equivalent_annotations():
+    # the edge case of pushing: an annotation equivalent to true that is not
+    # the literal true still canonicalizes every element condition
+    hits = 0
+    for _, schema, text, strict in _golden_trees():
+        try:
+            t = type_of(parse_query(text), schema, strict_context=strict)
+        except VTypeError:
+            continue
+        hits += t.annotation != TRUE and taut(t.annotation)
+    assert hits >= 10
+
+
+def test_pushed_attrs_equal_push_annotation():
+    # `pushed_attrs` reads the canonical annotation where `simplify` is
+    # canonical (12 features); the last query's pushes span more than that
+    wide = _GOLDEN_SCHEMAS[3][1]
+    cases = [(schema, text, strict) for _, schema, text, strict in _golden_trees()]
+    cases.append(
+        (
+            wide,
+            "choice w01 & w02 | w03 & !w04 | w05 & w06 "
+            "{ proj [a # w07 & w08 | w09 & !w10, b] r } "
+            "{ proj [a # w11 | w12 & w13 | w14, c] r }",
+            False,
+        )
+    )
+    checked = 0
+    for schema, text, strict in cases:
+        try:
+            t = type_of(parse_query(text), schema, strict_context=strict)
+        except VTypeError:
+            continue
+        assert t.pushed_attrs() == push_annotation(VSet(t.attrs.elements, t.annotation))
+        checked += 1
+    assert checked > 200
