@@ -39,7 +39,7 @@ from .storage import (
     print_vtable,
 )
 from .translate import TooManyFeatures, configure_query, group_query, push_schema
-from .typecheck import VTypeError, plain_type, type_of
+from .typecheck import PlainTypeError, VTypeError, plain_type, type_of
 from .vra import VQuery, parse_query, print_query
 
 
@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, StorageError, CatalogError, SqlError, TooManyFeatures) as exc:
+    except (OSError, StorageError, CatalogError, SqlError, TooManyFeatures, PlainTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -286,12 +286,15 @@ def eval_tracked(q: VQuery, db: dict[str, TrackedTable]) -> TrackedTable:
 
 
 def result_schema(q: VQuery, schema: VSchema) -> VRelSchema:
-    """The relation schema a query's results are assembled against."""
+    """The relation schema a query's results are assembled against.
+
+    A query whose annotation is unsatisfiable, such as ``empty``, answers
+    with no rows in every variant; a relation schema cannot carry a false
+    presence condition, so its result schema is present under ``true``.
+    """
     t = type_of(q, schema, check_conditions=False)
-    attrs = tuple(
-        VAttr(str(el.value), t.info[str(el.value)].atype, el.pc) for el in t.attrs
-    )
-    return VRelSchema("result", attrs, t.annotation)
+    attrs = tuple(VAttr(name, t.info[name].atype, pc) for name, pc in t.attr_pcs.items())
+    return VRelSchema("result", attrs, t.annotation if t.ann_table else TRUE)
 
 
 def model_configs(schema: VSchema) -> list[frozenset[str]]:

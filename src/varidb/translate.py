@@ -306,7 +306,7 @@ def push_schema(q: VQuery, schema: VSchema, ctx: FeatExpr | None = None) -> VQue
         for el in q.attrs:
             name = str(el.value)
             bare = name.split(".", 1)[1] if "." in name else name
-            pc_attr = t.attrs.pc_of(bare)
+            pc_attr = t.attr_pcs.get(bare)
             if pc_attr is None:
                 raise ValueError(
                     f"cannot push schema onto ill-typed query: projected "

@@ -30,10 +30,16 @@ Rules, one per query form:
   result.
 * the empty relation types as no attributes annotated false.
 
-Applying a type's annotation to its attributes (`QueryType.pushed_attrs`)
-is done once per type, on the annotation's canonical form rather than on
-the structural annotation, which grows with every choice below it.  The
-annotation itself stays structural, so printed types do not change.
+Every side condition is decided on truth tables over the schema's declared
+features (`_Universe`).  Each formula of the query or the schema is walked
+once, into its table; each presence condition of a `QueryType` is a table
+built from its children's with ``&``, ``|`` and ``& ~``, and a side condition
+is a few bit operations on them.  Above 16 features a "table" is the formula
+itself and the same operators decide it with `sat`.  The formula forms of a
+type (`attrs`, `annotation`, `pushed_attrs`, `render`) are built only when
+read, by the rules above: the annotation is structural, and a pushed
+attribute condition is ``simplify(pc ∧ annotation)``, read off the table by
+`_canonical` wherever the push spans at most 12 features.
 
 The companion plain rules (`plain_type`) type configured queries against a
 configured schema, and `check_variation_preservation` confirms the two sides
@@ -44,9 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .catalog import AttrType, PlainSchema, VSchema, configure_schema
 from .featexpr import (
+    _ENUM_LIMIT,
     _QM_LIMIT,
     FALSE,
     TRUE,
@@ -54,10 +62,15 @@ from .featexpr import (
     Configuration,
     FeatExpr,
     Not,
+    Or,
+    _canonical,
+    _drop_irrelevant,
+    _masks,
+    _truth_table,
     conj,
     disj,
+    equiv,
     features_of,
-    implies,
     print_fexp,
     sat,
     simplify,
@@ -85,7 +98,62 @@ from .vra import (
     VQuery,
     free_features,
 )
-from .vset import VElem, VSet, configure_vset, print_vset, subsumes, vset_equiv, vset_intersect, vset_union
+from .vset import VElem, VSet, configure_vset, print_vset
+
+
+class _Formula:
+    """A presence condition over more than 16 features.
+
+    It combines with the operators of a truth table, building the formula,
+    and is decided by `sat`, so the typing rules are written once.
+    """
+
+    __slots__ = ("e",)
+
+    def __init__(self, e: FeatExpr):
+        self.e = e
+
+    def __and__(self, other: _Formula) -> _Formula:
+        return _Formula(And(self.e, other.e))
+
+    def __or__(self, other: _Formula) -> _Formula:
+        return _Formula(Or(self.e, other.e))
+
+    def __invert__(self) -> _Formula:
+        return _Formula(Not(self.e))
+
+    def __bool__(self) -> bool:
+        return sat(self.e)
+
+    def __eq__(self, other) -> bool:
+        return equiv(self.e, other.e)
+
+
+#: A presence condition as the typing rules see it: a truth table, or a
+#: `_Formula` above 16 features.  Only ``&``, ``|``, ``& ~x``, ``==`` and
+#: truth are used, and ``~x`` only as the right operand of ``&``.
+Table = int | _Formula
+
+
+class _Universe:
+    """The features a typing ranges over, sorted: the schema's, and any
+    further ones of the variation context.
+
+    Up to 16 features a presence condition is its truth table over them
+    (bit m is minterm m, as in `featexpr._table_over`); above that it is a
+    `_Formula`.
+    """
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        small = len(names) <= _ENUM_LIMIT
+        self.leaves = dict(zip(names, _masks(len(names)))) if small else None
+        self.false: Table = 0 if small else _Formula(FALSE)
+
+    def of(self, e: FeatExpr) -> Table:
+        if self.leaves is None:
+            return _Formula(e)
+        return _truth_table(e, self.leaves, len(self.names))
 
 
 @dataclass(frozen=True)
@@ -96,38 +164,120 @@ class AttrInfo:
     origin: str | None  # relation the attribute came from, when unambiguous
 
 
-@dataclass
 class QueryType:
-    attrs: VSet  # values are attribute names; the set itself is unannotated
-    annotation: FeatExpr
-    info: dict[str, AttrInfo]
+    """The type of a query, decided on tables, printed from formulas.
 
-    def pushed_attrs(self) -> VSet:
-        """`push_annotation(VSet(attrs.elements, annotation))`, once per type."""
-        return self._pushed
+    `attr_tables` maps each attribute name, in attribute order, to the table
+    of its presence condition (the annotation not applied); `ann_table` is
+    the annotation's table.  The typing rules read only these.  The formula
+    forms come from `forms` on first read, as a map from attribute name to
+    presence condition and the annotation.
+    """
+
+    def __init__(
+        self,
+        attr_tables: dict[str, Table],
+        ann_table: Table,
+        info: dict[str, AttrInfo],
+        universe: _Universe,
+        forms: Callable[[], tuple[dict[str, FeatExpr], FeatExpr]],
+    ):
+        self.attr_tables = attr_tables
+        self.ann_table = ann_table
+        self.info = info
+        self.universe = universe
+        self._forms = forms
 
     @cached_property
-    def _pushed(self) -> VSet:
-        if self.annotation == TRUE:
-            return self.attrs
-        # Up to 12 features `simplify` depends only on the function, so the
-        # annotation's canonical form can stand in for it; above that it is
-        # structural, and only the annotation itself gives the same result.
-        names = features_of(self.annotation)
-        canonical = simplify(self.annotation) if len(names) <= _QM_LIMIT else None
-        pushed = []
-        for el in self.attrs:
-            wide = len(names | features_of(el.pc)) > _QM_LIMIT
-            pc = simplify(And(el.pc, self.annotation if wide else canonical))
-            if pc != FALSE:
-                pushed.append(VElem(el.value, pc))
-        return VSet(tuple(pushed))
+    def _built(self) -> tuple[dict[str, FeatExpr], FeatExpr]:
+        return self._forms()
+
+    @property
+    def attr_pcs(self) -> dict[str, FeatExpr]:
+        return self._built[0]
+
+    @property
+    def annotation(self) -> FeatExpr:
+        return self._built[1]
+
+    @cached_property
+    def attrs(self) -> VSet:
+        """`attr_pcs` as a v-set; the annotation is not part of it."""
+        return _vset(self.attr_pcs)
+
+    @cached_property
+    def pushed(self) -> dict[str, Table]:
+        """The table of each attribute with the annotation applied, for the
+        attributes where that is satisfiable."""
+        out = {}
+        for name, t in self.attr_tables.items():
+            p = t & self.ann_table
+            if p:
+                out[name] = p
+        return out
+
+    @cached_property
+    def pushed_pcs(self) -> dict[str, FeatExpr]:
+        """The formulas of `pushed`: the attributes' own conditions under a
+        literal `true` annotation, else `simplify(pc ∧ annotation)`.
+
+        Where a push spans at most 12 features that is the canonical form of
+        the function, read off its table projected onto its support; beyond
+        12 `simplify` is structural and only the formula gives it.
+        """
+        annotation = self.annotation
+        if annotation == TRUE:
+            return self.attr_pcs
+        names = self.universe.names
+        if len(names) <= _QM_LIMIT:
+            return {name: _canonical(names, t) for name, t in self.pushed.items()}
+        pcs, span = self.attr_pcs, features_of(annotation)
+        out = {}
+        for name, t in self.pushed.items():
+            if isinstance(t, int) and len(span | features_of(pcs[name])) <= _QM_LIMIT:
+                out[name] = _canonical(*_drop_irrelevant(names, t))
+            else:
+                out[name] = simplify(And(pcs[name], annotation))
+        return out
+
+    def pushed_attrs(self) -> VSet:
+        """`push_annotation(VSet(attrs.elements, annotation))`."""
+        return _vset(self.pushed_pcs)
 
     def render(self) -> str:
-        return print_vset(VSet(self.attrs.elements, self.annotation))
+        """`print_vset(VSet(attrs.elements, annotation))`."""
+        pcs = self.attr_pcs
+        return _print_annotated({name: pcs[name] for name in self.pushed}, self.annotation)
 
     def names(self) -> list[str]:
-        return [str(el.value) for el in self.attrs]
+        return list(self.attr_tables)
+
+
+def _vset(pcs: dict[str, FeatExpr]) -> VSet:
+    return VSet(tuple(VElem(name, pc) for name, pc in pcs.items()))
+
+
+def _print_annotated(pcs: dict[str, FeatExpr], annotation: FeatExpr) -> str:
+    """`print_vset(VSet(elements, annotation))` of elements known to be
+    satisfiable together with the annotation, which a `VSet` keeps."""
+    text = print_vset(_vset(pcs))
+    return text if annotation == TRUE else f"{text} # {print_fexp(annotation)}"
+
+
+def _merge(items: list[tuple[str, FeatExpr]]) -> dict[str, FeatExpr]:
+    """Repeated names disjoin their conditions, as in a `VSet`."""
+    out: dict[str, FeatExpr] = {}
+    for name, pc in items:
+        out[name] = Or(out[name], pc) if name in out else pc
+    return out
+
+
+def _union(pcs1: dict[str, FeatExpr], pcs2: dict[str, FeatExpr]) -> dict[str, FeatExpr]:
+    """`vset_union` of two pushed sets, as maps."""
+    out = dict(pcs1)
+    for name, pc in pcs2.items():
+        out[name] = disj(out[name], pc) if name in out else pc
+    return out
 
 
 class VTypeError(Exception):
@@ -145,8 +295,8 @@ class VTypeError(Exception):
         super().__init__(f"{kind} at {path}: {detail}")
 
 
-def _empty_type() -> QueryType:
-    return QueryType(VSet(()), FALSE, {})
+def _empty_type(u: _Universe) -> QueryType:
+    return QueryType({}, u.false, {}, u, lambda: ({}, FALSE))
 
 
 def type_of(
@@ -176,133 +326,258 @@ def type_of(
         )
     if ctx is None:
         ctx = schema.model
-    if not sat(ctx):
+    u = _Universe(tuple(sorted(frozenset(schema.features) | features_of(ctx))))
+    ct = u.of(ctx)
+    if not ct:
         raise VTypeError(
             "UnsatContext", "query", f"variation context {print_fexp(ctx)} is unsatisfiable"
         )
-    return _type_query(q, ctx, schema, "query", strict_context, check_conditions)
+    return _Typing(u, strict_context, schema, check_conditions).query(q, ctx, ct, "query")
 
 
-def _type_query(
-    q: VQuery,
-    ctx: FeatExpr,
-    s: VSchema,
-    path: str,
-    strict: bool,
-    conds: bool,
-) -> QueryType:
-    if isinstance(q, Relation):
-        rel = s.relations.get(q.name)
-        if rel is None:
-            raise VTypeError(
-                "UnknownRelation", path, f"relation {q.name} is not in the schema"
+class _Typing:
+    """The rules, for one universe, strictness and schema.
+
+    A context travels as its formula, for annotations and messages, and its
+    table, for decisions.
+    """
+
+    def __init__(self, u: _Universe, strict: bool, schema: VSchema | None = None, conds=True):
+        self.u, self.strict, self.schema, self.conds = u, strict, schema, conds
+
+    def query(self, q: VQuery, ctx: FeatExpr, ct: Table, path: str) -> QueryType:
+        u = self.u
+        if isinstance(q, Relation):
+            rel = self.schema.relations.get(q.name)
+            if rel is None:
+                raise VTypeError(
+                    "UnknownRelation", path, f"relation {q.name} is not in the schema"
+                )
+            rt = ct & u.of(rel.pc)
+            if not rt:
+                raise VTypeError(
+                    "UnsatContext",
+                    path,
+                    f"relation {q.name} with presence condition {print_fexp(rel.pc)} "
+                    f"cannot exist in context {print_fexp(ctx)}",
+                )
+            tables = {a.name: u.of(a.pc) for a in rel.attrs}
+            info = {a.name: AttrInfo(a.atype, q.name) for a in rel.attrs}
+            return QueryType(
+                tables,
+                rt,
+                info,
+                u,
+                lambda: ({a.name: a.pc for a in rel.attrs}, conj(ctx, rel.pc)),
             )
-        if not sat(And(ctx, rel.pc)):
-            raise VTypeError(
-                "UnsatContext",
-                path,
-                f"relation {q.name} with presence condition {print_fexp(rel.pc)} "
-                f"cannot exist in context {print_fexp(ctx)}",
+
+        if isinstance(q, Empty):
+            return _empty_type(u)
+
+        if isinstance(q, Select):
+            sub = self.query(q.sub, ctx, ct, path + ".sub")
+            if self.conds:
+                self.cond(q.cond, ctx, ct, sub, path + ".cond")
+            return sub
+
+        if isinstance(q, Project):
+            return self._project(q, ctx, ct, path)
+
+        if isinstance(q, Choice):
+            dt = u.of(q.dim)
+            lctx, lt = And(ctx, q.dim), ct & dt
+            rctx, rt = And(ctx, Not(q.dim)), ct & ~dt
+            if self.strict or lt:
+                t1 = self.query(q.left, lctx, lt, path + ".left")
+            else:
+                t1 = _empty_type(u)
+            if self.strict or rt:
+                t2 = self.query(q.right, rctx, rt, path + ".right")
+            else:
+                t2 = _empty_type(u)
+            tables = dict(t1.pushed)
+            for name, t in t2.pushed.items():
+                tables[name] = tables[name] | t if name in tables else t
+            info = dict(t1.info)
+            for name, inf in t2.info.items():
+                if name in info:
+                    if info[name].atype != inf.atype:
+                        raise VTypeError(
+                            "TypeMismatch",
+                            path,
+                            f"attribute {name} is {info[name].atype.keyword} in one "
+                            f"branch and {inf.atype.keyword} in the other",
+                        )
+                    if info[name].origin != inf.origin:
+                        info[name] = AttrInfo(inf.atype, None)
+                else:
+                    info[name] = inf
+            return QueryType(
+                tables,
+                t1.ann_table | t2.ann_table,
+                {name: info[name] for name in tables},
+                u,
+                lambda: (
+                    _union(t1.pushed_pcs, t2.pushed_pcs),
+                    disj(t1.annotation, t2.annotation),
+                ),
             )
-        attrs = VSet(tuple(VElem(a.name, a.pc) for a in rel.attrs))
-        info = {a.name: AttrInfo(a.atype, q.name) for a in rel.attrs}
-        return QueryType(attrs, conj(ctx, rel.pc), info)
 
-    if isinstance(q, Empty):
-        return _empty_type()
-
-    if isinstance(q, Select):
-        sub = _type_query(q.sub, ctx, s, path + ".sub", strict, conds)
-        if conds:
-            _type_cond(q.cond, ctx, sub.pushed_attrs(), sub.info, path + ".cond", strict)
-        return sub
-
-    if isinstance(q, Project):
-        sub = _type_query(q.sub, ctx, s, path + ".sub", strict, conds)
-        resolved = []
-        for el in q.attrs:
-            name = _resolve_name(str(el.value), sub, path)
-            resolved.append(VElem(name, el.pc))
-        projected = VSet(tuple(resolved))
-        if not subsumes(VSet(projected.elements, ctx), sub.pushed_attrs()):
-            raise VTypeError(
-                "NotSubsumed",
-                path,
-                f"projected attributes {print_vset(VSet(projected.elements, ctx))} "
-                f"are not subsumed by the subquery type "
-                f"{print_vset(VSet(sub.attrs.elements, sub.annotation))}",
+        if isinstance(q, (Product, Join)):
+            t1 = self.query(q.left, ctx, ct, path + ".left")
+            t2 = self.query(q.right, ctx, ct, path + ".right")
+            shared = t1.attr_tables.keys() & t2.attr_tables.keys()
+            if shared:
+                raise VTypeError(
+                    "NotDisjoint",
+                    path,
+                    f"operand types share attribute names: {', '.join(sorted(shared))}",
+                )
+            result = QueryType(
+                {**t1.attr_tables, **t2.attr_tables},
+                t1.ann_table & t2.ann_table,
+                {**t1.info, **t2.info},
+                u,
+                lambda: (
+                    {**t1.attr_pcs, **t2.attr_pcs},
+                    conj(t1.annotation, t2.annotation),
+                ),
             )
-        result = vset_intersect(projected, sub.attrs)
-        info = {str(el.value): sub.info[str(el.value)] for el in result}
-        return QueryType(result, sub.annotation, info)
+            if isinstance(q, Join) and self.conds:
+                self.cond(q.cond, ctx, ct, result, path + ".cond")
+            return result
 
-    if isinstance(q, Choice):
-        lctx, rctx = And(ctx, q.dim), And(ctx, Not(q.dim))
-        if strict or sat(lctx):
-            t1 = _type_query(q.left, lctx, s, path + ".left", strict, conds)
-        else:
-            t1 = _empty_type()
-        if strict or sat(rctx):
-            t2 = _type_query(q.right, rctx, s, path + ".right", strict, conds)
-        else:
-            t2 = _empty_type()
-        attrs = vset_union(t1.pushed_attrs(), t2.pushed_attrs())
-        info = dict(t1.info)
-        for name, inf in t2.info.items():
-            if name in info:
-                if info[name].atype != inf.atype:
+        if isinstance(q, SetOp):
+            t1 = self.query(q.left, ctx, ct, path + ".left")
+            t2 = self.query(q.right, ctx, ct, path + ".right")
+            p1, p2 = t1.pushed, t2.pushed
+            if p1.keys() != p2.keys() or any(p1[name] != p2[name] for name in p1):
+                raise VTypeError(
+                    "NotEquivalent",
+                    path,
+                    f"operand types {t1.render()} and {t2.render()} are not equivalent",
+                )
+            for name in t1.names():
+                inf = t2.info.get(name)
+                if inf is not None and t1.info[name].atype != inf.atype:
                     raise VTypeError(
                         "TypeMismatch",
                         path,
-                        f"attribute {name} is {info[name].atype.keyword} in one "
-                        f"branch and {inf.atype.keyword} in the other",
+                        f"attribute {name} is {t1.info[name].atype.keyword} on the left "
+                        f"and {inf.atype.keyword} on the right",
                     )
-                if info[name].origin != inf.origin:
-                    info[name] = AttrInfo(inf.atype, None)
-            else:
-                info[name] = inf
-        info = {str(el.value): info[str(el.value)] for el in attrs}
-        return QueryType(attrs, disj(t1.annotation, t2.annotation), info)
+            return QueryType(
+                t1.attr_tables,
+                t1.ann_table,
+                dict(t1.info),
+                u,
+                lambda: (t1.attr_pcs, t1.annotation),
+            )
 
-    if isinstance(q, (Product, Join)):
-        t1 = _type_query(q.left, ctx, s, path + ".left", strict, conds)
-        t2 = _type_query(q.right, ctx, s, path + ".right", strict, conds)
-        shared = set(t1.names()) & set(t2.names())
-        if shared:
-            raise VTypeError(
-                "NotDisjoint",
-                path,
-                f"operand types share attribute names: {', '.join(sorted(shared))}",
-            )
-        attrs = VSet(t1.attrs.elements + t2.attrs.elements)
-        info = {**t1.info, **t2.info}
-        result = QueryType(attrs, conj(t1.annotation, t2.annotation), info)
-        if isinstance(q, Join) and conds:
-            _type_cond(
-                q.cond, ctx, result.pushed_attrs(), result.info, path + ".cond", strict
-            )
-        return result
+        raise TypeError(f"not a query: {q!r}")
 
-    if isinstance(q, SetOp):
-        t1 = _type_query(q.left, ctx, s, path + ".left", strict, conds)
-        t2 = _type_query(q.right, ctx, s, path + ".right", strict, conds)
-        if not vset_equiv(t1.pushed_attrs(), t2.pushed_attrs()):
-            raise VTypeError(
-                "NotEquivalent",
-                path,
-                f"operand types {t1.render()} and {t2.render()} are not equivalent",
-            )
-        for name in t1.names():
-            if t1.info[name].atype != t2.info[name].atype:
+    def _project(self, q: Project, ctx: FeatExpr, ct: Table, path: str) -> QueryType:
+        sub = self.query(q.sub, ctx, ct, path + ".sub")
+        items = []
+        projected: dict[str, Table] = {}
+        for el in q.attrs:
+            name = _resolve_name(str(el.value), sub, path)
+            items.append((name, el.pc))
+            t = self.u.of(el.pc)
+            projected[name] = projected[name] | t if name in projected else t
+        for name, t in projected.items():
+            needle = t & ct
+            hay = sub.pushed.get(name)
+            if needle and (hay is None or not needle & hay):
+                merged = _merge(items)
+                shown = {n: merged[n] for n, t in projected.items() if t & ct}
+                raise VTypeError(
+                    "NotSubsumed",
+                    path,
+                    f"projected attributes {_print_annotated(shown, ctx)} "
+                    f"are not subsumed by the subquery type {sub.render()}",
+                )
+        tables = {}
+        for name, t in projected.items():
+            st = sub.attr_tables.get(name)
+            if st is not None and t & st:
+                tables[name] = t & st
+
+        def forms() -> tuple[dict[str, FeatExpr], FeatExpr]:
+            merged, sub_pcs = _merge(items), sub.attr_pcs
+            return {name: conj(merged[name], sub_pcs[name]) for name in tables}, sub.annotation
+
+        info = {name: sub.info[name] for name in tables}
+        return QueryType(tables, sub.ann_table, info, self.u, forms)
+
+    # -- conditions ---------------------------------------------------------
+
+    def cond(self, c: VCondition, ctx: FeatExpr, ct: Table, t: QueryType, path: str) -> None:
+        if isinstance(c, CondLit):
+            return
+        if isinstance(c, CompareAttrConst):
+            atype = self._check_attr(c.attr, ctx, ct, t, path)
+            if not _const_in_domain(c.const, atype):
+                raise VTypeError(
+                    "DomainViolation",
+                    path,
+                    f"constant {c.const.value!r} is outside the {atype.keyword} domain "
+                    f"of attribute {c.attr.text()}",
+                )
+            return
+        if isinstance(c, CompareAttrAttr):
+            atype1 = self._check_attr(c.attr1, ctx, ct, t, path)
+            atype2 = self._check_attr(c.attr2, ctx, ct, t, path)
+            if atype1 != atype2:
                 raise VTypeError(
                     "TypeMismatch",
                     path,
-                    f"attribute {name} is {t1.info[name].atype.keyword} on the left "
-                    f"and {t2.info[name].atype.keyword} on the right",
+                    f"cannot compare {c.attr1.text()} ({atype1.keyword}) with "
+                    f"{c.attr2.text()} ({atype2.keyword})",
                 )
-        return QueryType(t1.attrs, t1.annotation, dict(t1.info))
+            return
+        if isinstance(c, CondNot):
+            self.cond(c.operand, ctx, ct, t, path + ".operand")
+            return
+        if isinstance(c, (CondAnd, CondOr)):
+            self.cond(c.left, ctx, ct, t, path + ".left")
+            self.cond(c.right, ctx, ct, t, path + ".right")
+            return
+        if isinstance(c, CondChoice):
+            dt = self.u.of(c.dim)
+            lt, rt = ct & dt, ct & ~dt
+            if self.strict or lt:
+                self.cond(c.left, And(ctx, c.dim), lt, t, path + ".left")
+            if self.strict or rt:
+                self.cond(c.right, And(ctx, Not(c.dim)), rt, t, path + ".right")
+            return
+        raise TypeError(f"not a condition: {c!r}")
 
-    raise TypeError(f"not a query: {q!r}")
+    def _check_attr(
+        self, ref: AttrRef, ctx: FeatExpr, ct: Table, t: QueryType, path: str
+    ) -> AttrType:
+        inf = t.info.get(ref.name)
+        pt = t.pushed.get(ref.name)
+        if inf is None or pt is None:
+            raise VTypeError(
+                "AttrNotInType",
+                path,
+                f"attribute {ref.text()} does not occur in the query type",
+            )
+        if ref.qualifier is not None and inf.origin != ref.qualifier:
+            raise VTypeError(
+                "AttrNotInType",
+                path,
+                f"attribute {ref.name} does not come from {ref.qualifier}",
+            )
+        if pt & ~ct:
+            raise VTypeError(
+                "ContextNotImplied",
+                path,
+                f"presence condition {print_fexp(t.pushed_pcs[ref.name])} of "
+                f"{ref.text()} does not imply the variation context {print_fexp(ctx)}",
+            )
+        return inf.atype
 
 
 def _resolve_name(ref: str, t: QueryType, path: str) -> str:
@@ -328,11 +603,6 @@ def _resolve_name(ref: str, t: QueryType, path: str) -> str:
     return name
 
 
-# ---------------------------------------------------------------------------
-# Condition typing
-# ---------------------------------------------------------------------------
-
-
 def type_cond(
     cond: VCondition,
     ctx: FeatExpr,
@@ -344,85 +614,19 @@ def type_cond(
     """Check a condition against a query type under a variation context.
 
     The type's annotation is applied to its attribute set first, as the
-    condition rules expect.  Raises VTypeError on failure.
+    condition rules expect.  The context may mention only features of the
+    type's universe: the schema's, and those of the context it was typed
+    under.  Raises VTypeError on failure.
     """
-    _type_cond(cond, ctx, qtype.pushed_attrs(), qtype.info, path, strict_context)
-
-
-def _type_cond(
-    c: VCondition,
-    ctx: FeatExpr,
-    attrs: VSet,
-    info: dict[str, AttrInfo],
-    path: str,
-    strict: bool,
-) -> None:
-    if isinstance(c, CondLit):
-        return
-    if isinstance(c, CompareAttrConst):
-        atype = _check_attr(c.attr, ctx, attrs, info, path)
-        if not _const_in_domain(c.const, atype):
-            raise VTypeError(
-                "DomainViolation",
-                path,
-                f"constant {c.const.value!r} is outside the {atype.keyword} domain "
-                f"of attribute {c.attr.text()}",
-            )
-        return
-    if isinstance(c, CompareAttrAttr):
-        atype1 = _check_attr(c.attr1, ctx, attrs, info, path)
-        atype2 = _check_attr(c.attr2, ctx, attrs, info, path)
-        if atype1 != atype2:
-            raise VTypeError(
-                "TypeMismatch",
-                path,
-                f"cannot compare {c.attr1.text()} ({atype1.keyword}) with "
-                f"{c.attr2.text()} ({atype2.keyword})",
-            )
-        return
-    if isinstance(c, CondNot):
-        _type_cond(c.operand, ctx, attrs, info, path + ".operand", strict)
-        return
-    if isinstance(c, (CondAnd, CondOr)):
-        _type_cond(c.left, ctx, attrs, info, path + ".left", strict)
-        _type_cond(c.right, ctx, attrs, info, path + ".right", strict)
-        return
-    if isinstance(c, CondChoice):
-        lctx, rctx = And(ctx, c.dim), And(ctx, Not(c.dim))
-        if strict or sat(lctx):
-            _type_cond(c.left, lctx, attrs, info, path + ".left", strict)
-        if strict or sat(rctx):
-            _type_cond(c.right, rctx, attrs, info, path + ".right", strict)
-        return
-    raise TypeError(f"not a condition: {c!r}")
-
-
-def _check_attr(
-    ref: AttrRef, ctx: FeatExpr, attrs: VSet, info: dict[str, AttrInfo], path: str
-) -> AttrType:
-    inf = info.get(ref.name)
-    present = any(str(el.value) == ref.name for el in attrs)
-    if inf is None or not present:
+    u = qtype.universe
+    outside = features_of(ctx) - frozenset(u.names)
+    if outside:
         raise VTypeError(
-            "AttrNotInType",
+            "UndeclaredFeature",
             path,
-            f"attribute {ref.text()} does not occur in the query type",
+            f"feature {sorted(outside)[0]} is not declared in the schema",
         )
-    if ref.qualifier is not None and inf.origin != ref.qualifier:
-        raise VTypeError(
-            "AttrNotInType",
-            path,
-            f"attribute {ref.name} does not come from {ref.qualifier}",
-        )
-    pc = attrs.pc_of(ref.name)
-    if not implies(pc, ctx):
-        raise VTypeError(
-            "ContextNotImplied",
-            path,
-            f"presence condition {print_fexp(pc)} of {ref.text()} does not imply "
-            f"the variation context {print_fexp(ctx)}",
-        )
-    return inf.atype
+    _Typing(u, strict_context).cond(cond, ctx, u.of(ctx), qtype, path)
 
 
 def _const_in_domain(const: Const, atype: AttrType) -> bool:

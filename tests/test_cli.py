@@ -1,6 +1,7 @@
 """The command-line surface: pipelines, exit codes, output formats."""
 
 import io
+import sqlite3
 from pathlib import Path
 
 from varidb.cli import main
@@ -132,6 +133,15 @@ def test_unreadable_query_file_exits_1(capsys, monkeypatch):
     assert "cannot read query file" in err
 
 
+def test_set_operation_that_evaluation_rejects_exits_1(capsys, monkeypatch):
+    # both operands are empty in every variant, so the type is `{} # false`,
+    # but the plain evaluators still compare their column lists
+    code, out, err = run_cli(["run", TOY], "union empty prod r empty", capsys, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: union requires identical columns")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # configure / group
 # ---------------------------------------------------------------------------
@@ -241,6 +251,19 @@ def test_run_minimized_and_unminimized_agree(capsys, monkeypatch):
     assert outputs[0].startswith("empno,name,firstname,lastname,presCond\n")
 
 
+#: Queries that type as `{} # false`: they exist in no variant.
+FALSE_TYPED = ("empty", "choice f1 { empty } { empty }")
+
+
+def test_false_typed_queries_run_to_the_empty_vtable(capsys, monkeypatch):
+    for text in FALSE_TYPED:
+        assert run_cli(["check", TOY], text, capsys, monkeypatch) == (0, "OK: {} # false\n", "")
+        assert run_cli(["group", TOY], text, capsys, monkeypatch) == (0, "empty # true\n", "")
+        for strategy in ("configure", "group"):
+            result = run_cli(["run", TOY, "--strategy", strategy], text, capsys, monkeypatch)
+            assert result == (0, "presCond\n", ""), (text, strategy)
+
+
 # ---------------------------------------------------------------------------
 # sql
 # ---------------------------------------------------------------------------
@@ -269,6 +292,17 @@ def test_sql_union_mode(capsys, monkeypatch):
     assert len(blocks) == 1
     assert provenances == ["true"]
     assert check_sql(blocks[0]) == [4, 4, 4, 4]
+
+
+def test_sql_of_false_typed_queries_is_one_empty_union(capsys, monkeypatch):
+    for text in FALSE_TYPED:
+        code, out, err = run_cli(["sql", TOY], text, capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        blocks, provenances = _statement_blocks(out)
+        assert len(blocks) == 1
+        assert check_sql(blocks[0]) == [1]
+        # the statement reads no table, so an empty database runs it
+        assert sqlite3.connect(":memory:").execute(blocks[0]).fetchall() == []
 
 
 def test_sql_per_group_mode(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from varidb.catalog import AttrType, CatalogError, parse_schema
+from varidb.catalog import AttrType, CatalogError, VSchema, parse_schema
 from varidb.featexpr import (
     TRUE,
     And,
@@ -182,9 +182,21 @@ def test_setop_requires_equivalent_types():
     assert t.names() == type_of(parse_query("empacct"), EMPLOYEE).names()
 
 
+def test_setop_same_names_different_conditions_not_equivalent():
+    e = err("union proj [a1, a2] r proj [a1, a2 # f1] r", TOY)
+    assert e.kind == "NotEquivalent"
+
+
 def test_setop_with_empty_relation_not_equivalent():
     e = err("union r empty", TOY)
     assert e.kind == "NotEquivalent"
+
+
+def test_setop_attribute_absent_under_the_context():
+    # under !f1 the left operand's a1 # f1 is absent, so the operands agree
+    q = parse_query("choice f1 { r } { union r proj [a2, a3] r }")
+    t = type_of(q, TOY)
+    assert print_vset(t.pushed_attrs()) == "{ a1 # f1, a2 # f1 | f2, a3 # f1 | f2 }"
 
 
 def test_setop_same_shape_different_types():
@@ -508,7 +520,8 @@ def test_typing_matches_golden_corpus():
     The fixture holds `_golden_line` of every tree of `_golden_trees()`,
     one per line, written with the `src` of commit 7094dfd (whose
     `pushed_attrs` still pushed the structural annotation) first on
-    PYTHONPATH.
+    PYTHONPATH.  Line 224 was written again once a query typed `{} # false`
+    got a result schema; it used to end in `ERROR CatalogError`.
     """
     lines = (FIXTURES / "typecheck_golden.txt").read_text().splitlines()
     trees = list(_golden_trees())
@@ -553,3 +566,48 @@ def test_pushed_attrs_equal_push_annotation():
         assert t.pushed_attrs() == push_annotation(VSet(t.attrs.elements, t.annotation))
         checked += 1
     assert checked > 200
+
+
+def _padded(schema, n):
+    """`schema` with unused features declared up to `n` in all; their names
+    sort before, between and after the fixtures' own."""
+    pads = ("A0", "m0", "z0", "A1", "m1", "z1", "A2", "m2", "z2", "A3", "m3", "z3", "A4",
+            "m4", "z4", "A5", "m5")
+    features = schema.features + pads[: max(0, n - len(schema.features))]
+    return VSchema(features, schema.model, schema.relations)
+
+
+def test_typing_paths_agree_on_padded_schemas():
+    """Typing decides on truth tables over the schema's features up to 16,
+    reads canonical conditions off them when the universe has at most 12
+    features, projects them onto their support up to 16, and goes through
+    formulas and `sat` above 16.  Unused declared features move a schema
+    across those limits and must change no byte."""
+    toy, employee, wide14 = (_GOLDEN_SCHEMAS[k][1] for k in (0, 1, 3))
+    extra = [
+        # set operations, both verdicts; the corpus has none
+        ("toy", toy, "union r proj [a1, a2, a3] r", False),
+        ("toy", toy, "choice f1 { r } { union r proj [a2, a3] r }", False),
+        ("toy", toy, "union r proj [a2, a3] r", False),
+        ("toy", toy, "union proj [a1, a2] r proj [a1, a2 # f1] r", False),
+        ("employee", employee, "diff empacct empacct", False),
+        # condition attributes that do and do not imply their context
+        ("employee", employee, "sel (CHC edu (std = true) (true)) empacct", False),
+        ("employee", employee, "sel (CHC edu (empno = 1) (true)) empacct", False),
+        # pushes that span more than 12 features
+        (
+            "wide14",
+            wide14,
+            "choice w01 & w02 | w03 & !w04 | w05 & w06 "
+            "{ proj [a # w07 & w08 | w09 & !w10, b] r } "
+            "{ proj [a # w11 | w12 & w13 | w14, c] r }",
+            False,
+        ),
+    ]
+    checked = 0
+    for name, schema, text, strict in [*_golden_trees(), *extra]:
+        expected = _golden_line(name, schema, text, strict)
+        for n in (13, 17):
+            assert _golden_line(name, _padded(schema, n), text, strict) == expected
+        checked += 1
+    assert checked >= 80
