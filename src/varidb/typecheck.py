@@ -39,7 +39,7 @@ itself and the same operators decide it with `sat`.  The formula forms of a
 type (`attrs`, `annotation`, `pushed_attrs`, `render`) are built only when
 read, by the rules above: the annotation is structural, and a pushed
 attribute condition is ``simplify(pc ∧ annotation)``, read off the table by
-`_canonical` wherever the push spans at most 12 features.
+`_canonical` where the universe has at most 12 features.
 
 The companion plain rules (`plain_type`) type configured queries against a
 configured schema, and `check_variation_preservation` confirms the two sides
@@ -48,9 +48,9 @@ commute configuration by configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from operator import or_
+from typing import Callable, NamedTuple
 
 from .catalog import AttrType, PlainSchema, VSchema, configure_schema
 from .featexpr import (
@@ -64,7 +64,6 @@ from .featexpr import (
     Not,
     Or,
     _canonical,
-    _drop_irrelevant,
     _masks,
     _truth_table,
     conj,
@@ -156,8 +155,7 @@ class _Universe:
         return _truth_table(e, self.leaves, len(self.names))
 
 
-@dataclass(frozen=True)
-class AttrInfo:
+class AttrInfo(NamedTuple):
     """What is known about one attribute of a query type."""
 
     atype: AttrType
@@ -219,35 +217,22 @@ class QueryType:
     @cached_property
     def pushed_pcs(self) -> dict[str, FeatExpr]:
         """The formulas of `pushed`: the attributes' own conditions under a
-        literal `true` annotation, else `simplify(pc ∧ annotation)`.
-
-        Where a push spans at most 12 features that is the canonical form of
-        the function, read off its table projected onto its support; beyond
-        12 `simplify` is structural and only the formula gives it.
-        """
+        literal `true` annotation, else `simplify(pc ∧ annotation)`, which up
+        to 12 features is the canonical form read off the table."""
         annotation = self.annotation
         if annotation == TRUE:
             return self.attr_pcs
-        names = self.universe.names
+        names, pcs = self.universe.names, self.attr_pcs
         if len(names) <= _QM_LIMIT:
             return {name: _canonical(names, t) for name, t in self.pushed.items()}
-        pcs, span = self.attr_pcs, features_of(annotation)
-        out = {}
-        for name, t in self.pushed.items():
-            if isinstance(t, int) and len(span | features_of(pcs[name])) <= _QM_LIMIT:
-                out[name] = _canonical(*_drop_irrelevant(names, t))
-            else:
-                out[name] = simplify(And(pcs[name], annotation))
-        return out
+        return {name: simplify(And(pcs[name], annotation)) for name in self.pushed}
 
     def pushed_attrs(self) -> VSet:
         """`push_annotation(VSet(attrs.elements, annotation))`."""
         return _vset(self.pushed_pcs)
 
     def render(self) -> str:
-        """`print_vset(VSet(attrs.elements, annotation))`."""
-        pcs = self.attr_pcs
-        return _print_annotated({name: pcs[name] for name in self.pushed}, self.annotation)
+        return print_vset(VSet(self.attrs.elements, self.annotation))
 
     def names(self) -> list[str]:
         return list(self.attr_tables)
@@ -257,26 +242,12 @@ def _vset(pcs: dict[str, FeatExpr]) -> VSet:
     return VSet(tuple(VElem(name, pc) for name, pc in pcs.items()))
 
 
-def _print_annotated(pcs: dict[str, FeatExpr], annotation: FeatExpr) -> str:
-    """`print_vset(VSet(elements, annotation))` of elements known to be
-    satisfiable together with the annotation, which a `VSet` keeps."""
-    text = print_vset(_vset(pcs))
-    return text if annotation == TRUE else f"{text} # {print_fexp(annotation)}"
-
-
-def _merge(items: list[tuple[str, FeatExpr]]) -> dict[str, FeatExpr]:
-    """Repeated names disjoin their conditions, as in a `VSet`."""
-    out: dict[str, FeatExpr] = {}
-    for name, pc in items:
-        out[name] = Or(out[name], pc) if name in out else pc
-    return out
-
-
-def _union(pcs1: dict[str, FeatExpr], pcs2: dict[str, FeatExpr]) -> dict[str, FeatExpr]:
-    """`vset_union` of two pushed sets, as maps."""
-    out = dict(pcs1)
-    for name, pc in pcs2.items():
-        out[name] = disj(out[name], pc) if name in out else pc
+def _combine(items, op) -> dict:
+    """Repeated names combine their values with `op`, in order of first
+    occurrence, as a `VSet` merges its elements."""
+    out = {}
+    for name, x in items:
+        out[name] = op(out[name], x) if name in out else x
     return out
 
 
@@ -395,9 +366,7 @@ class _Typing:
                 t2 = self.query(q.right, rctx, rt, path + ".right")
             else:
                 t2 = _empty_type(u)
-            tables = dict(t1.pushed)
-            for name, t in t2.pushed.items():
-                tables[name] = tables[name] | t if name in tables else t
+            tables = _combine([*t1.pushed.items(), *t2.pushed.items()], or_)
             info = dict(t1.info)
             for name, inf in t2.info.items():
                 if name in info:
@@ -418,7 +387,7 @@ class _Typing:
                 {name: info[name] for name in tables},
                 u,
                 lambda: (
-                    _union(t1.pushed_pcs, t2.pushed_pcs),
+                    _combine([*t1.pushed_pcs.items(), *t2.pushed_pcs.items()], disj),
                     disj(t1.annotation, t2.annotation),
                 ),
             )
@@ -478,23 +447,17 @@ class _Typing:
 
     def _project(self, q: Project, ctx: FeatExpr, ct: Table, path: str) -> QueryType:
         sub = self.query(q.sub, ctx, ct, path + ".sub")
-        items = []
-        projected: dict[str, Table] = {}
-        for el in q.attrs:
-            name = _resolve_name(str(el.value), sub, path)
-            items.append((name, el.pc))
-            t = self.u.of(el.pc)
-            projected[name] = projected[name] | t if name in projected else t
+        items = [(_resolve_name(str(el.value), sub, path), el.pc) for el in q.attrs]
+        projected = _combine([(name, self.u.of(pc)) for name, pc in items], or_)
         for name, t in projected.items():
             needle = t & ct
             hay = sub.pushed.get(name)
             if needle and (hay is None or not needle & hay):
-                merged = _merge(items)
-                shown = {n: merged[n] for n, t in projected.items() if t & ct}
+                shown = VSet(tuple(VElem(n, pc) for n, pc in items), ctx)
                 raise VTypeError(
                     "NotSubsumed",
                     path,
-                    f"projected attributes {_print_annotated(shown, ctx)} "
+                    f"projected attributes {print_vset(shown)} "
                     f"are not subsumed by the subquery type {sub.render()}",
                 )
         tables = {}
@@ -504,7 +467,7 @@ class _Typing:
                 tables[name] = t & st
 
         def forms() -> tuple[dict[str, FeatExpr], FeatExpr]:
-            merged, sub_pcs = _merge(items), sub.attr_pcs
+            merged, sub_pcs = _combine(items, Or), sub.attr_pcs
             return {name: conj(merged[name], sub_pcs[name]) for name in tables}, sub.annotation
 
         info = {name: sub.info[name] for name in tables}
@@ -616,10 +579,10 @@ def type_cond(
     The type's annotation is applied to its attribute set first, as the
     condition rules expect.  The context may mention only features of the
     type's universe: the schema's, and those of the context it was typed
-    under.  Raises VTypeError on failure.
+    under; so may the condition's choices.  Raises VTypeError on failure.
     """
     u = qtype.universe
-    outside = features_of(ctx) - frozenset(u.names)
+    outside = (features_of(ctx) | free_features(cond)) - frozenset(u.names)
     if outside:
         raise VTypeError(
             "UndeclaredFeature",

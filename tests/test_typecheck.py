@@ -242,6 +242,16 @@ def test_condition_choice_unrestricted_attribute_rejected():
     assert e.value.kind == "ContextNotImplied"
 
 
+def test_condition_choice_on_undeclared_feature():
+    # a condition's own choice dimension must be declared too, on either
+    # side of the 16-feature limit of truth tables
+    for schema in (EMPLOYEE, _padded(EMPLOYEE, 17)):
+        t = type_of(parse_query("empacct"), schema)
+        with pytest.raises(VTypeError) as e:
+            type_cond(parse_cond("CHC zz (empno = 1) (true)"), schema.model, t)
+        assert e.value.kind == "UndeclaredFeature" and "zz" in e.value.detail
+
+
 def test_select_with_condition_choice():
     t = type_of(parse_query("sel (CHC edu (std = true) (true)) empacct"), EMPLOYEE)
     assert t.names() == type_of(parse_query("empacct"), EMPLOYEE).names()
@@ -580,8 +590,8 @@ def _padded(schema, n):
 def test_typing_paths_agree_on_padded_schemas():
     """Typing decides on truth tables over the schema's features up to 16,
     reads canonical conditions off them when the universe has at most 12
-    features, projects them onto their support up to 16, and goes through
-    formulas and `sat` above 16.  Unused declared features move a schema
+    features, simplifies formulas above 12, and goes through formulas and
+    `sat` above 16.  Unused declared features move a schema
     across those limits and must change no byte."""
     toy, employee, wide14 = (_GOLDEN_SCHEMAS[k][1] for k in (0, 1, 3))
     extra = [
