@@ -6,10 +6,8 @@ argument or stdin, then follow one pipeline: parse, type check, push the
 schema onto the query, minimize (unless --no-minimize), and hand the result
 to the requested backend.
 
-Exit codes: 0 success, 1 I/O or data errors (and a projection list or
-condition over more than 20 features, which grouping cannot enumerate, or
-input nested deeper than the interpreter's recursion limit), 2 type
-errors, 3 syntax errors.
+Exit codes: 0 success, 1 I/O or data errors (and input nested deeper than
+the interpreter's recursion limit), 2 type errors, 3 syntax errors.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .storage import (
     print_plain_table,
     print_vtable,
 )
-from .translate import TooManyFeatures, configure_query, group_query, push_schema
+from .translate import configure_query, group_query, push_schema
 from .typecheck import PlainTypeError, VTypeError, plain_type, type_of
 from .vra import VQuery, parse_query, print_query
 
@@ -296,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, StorageError, CatalogError, SqlError, TooManyFeatures, PlainTypeError) as exc:
+    except (OSError, StorageError, CatalogError, SqlError, PlainTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -3,8 +3,10 @@
 Every annotation in the system -- on schema elements, tuples, set elements,
 query nodes -- is a propositional formula over feature names.  This module
 owns the formula AST, the concrete syntax (`parse_fexp` / `print_fexp`), the
-decision procedures (`sat`, `taut`, `equiv`, `implies`), and a canonicalizing
-`simplify` used to keep printed annotations small and stable.
+decision procedures (`sat`, `taut`, `equiv`, `implies`), a canonicalizing
+`simplify` used to keep printed annotations small and stable, and the
+presence algebra (`Universe`) in which typing and grouping combine and
+decide conditions.
 
 Solving strategy: a formula mentioning at most 16 features is decided from
 its truth table, computed in one walk of the formula as a Python int with
@@ -21,11 +23,13 @@ minterms being a table too.  The result is the minimal disjunctive normal
 form Quine-McCluskey gives with that cover rule (McCluskey 1956).  Beyond
 12 features it falls back to structural cleanup plus a constant-collapse
 check.  The canonical form is what lets two different pipelines print
-byte-identical annotations for equivalent conditions.  The same tables
-enumerate a formula's satisfying configurations (`solutions`) and
-canonicalize a set of minterms or a table (`from_minterms`, `from_table`,
-through the same memo) without evaluating the formula once per
-configuration.
+byte-identical annotations for equivalent conditions.
+
+A `Universe` holds its conditions as truth tables over its features where
+it has at most 12, so that they print canonically straight from the table
+through the same memo, and as formulas decided by `sat` above that.  The
+same tables enumerate a formula's satisfying configurations (`solutions`,
+`witness`) without evaluating the formula once per configuration.
 """
 
 from __future__ import annotations
@@ -331,7 +335,7 @@ def _truth_table(e: FeatExpr, leaves: dict[str, int], n: int) -> int:
 def _table_over(e: FeatExpr, names: list[str]) -> int:
     """The truth table of `e` with bit k of a minterm standing for `names[k]`.
 
-    Bit order is that of `all_configs` over sorted `names` (at most 20).
+    Bit order is that of `all_configs` over sorted `names` (at most 16).
     """
     return _truth_table(e, dict(zip(names, _masks(len(names)))), len(names))
 
@@ -349,21 +353,6 @@ def _config(names: list[str], m: int) -> Configuration:
     return frozenset(names[k] for k in range(len(names)) if m >> k & 1)
 
 
-def _minterms_of(e: FeatExpr, names: list[str]) -> Iterator[int]:
-    """The minterms over sorted `names` at which `e` holds, ascending.
-
-    Beyond 16 names the table is taken in blocks of 2^16 minterms, one for
-    each assignment to the names above the 16th, so memory stays bounded.
-    """
-    low, high = names[:_ENUM_LIMIT], names[_ENUM_LIMIT:]
-    leaves = dict(zip(low, _masks(len(low))))
-    full = (1 << (1 << len(low))) - 1
-    for h in range(1 << len(high)):
-        leaves.update((f, full if h >> j & 1 else 0) for j, f in enumerate(high))
-        for m in _bits(_truth_table(e, leaves, len(low))):
-            yield h << len(low) | m
-
-
 @lru_cache(maxsize=65536)
 def sat(e: FeatExpr) -> bool:
     """Is the formula satisfiable by some configuration of its own features?"""
@@ -374,9 +363,20 @@ def sat(e: FeatExpr) -> bool:
 
 
 def solutions(e: FeatExpr, universe: Iterable[str]) -> list[Configuration]:
-    """`[c for c in all_configs(universe) if eval_fexp(e, c)]`, from truth tables."""
+    """`[c for c in all_configs(universe) if eval_fexp(e, c)]`, from truth tables.
+
+    Beyond 16 names the table is taken in blocks of 2^16 minterms, one for
+    each assignment to the names above the 16th, so memory stays bounded.
+    """
     names = sorted(universe)
-    return [_config(names, m) for m in _minterms_of(e, names)]
+    low, high = names[:_ENUM_LIMIT], names[_ENUM_LIMIT:]
+    leaves, full = dict(zip(low, _masks(len(low)))), (1 << (1 << len(low))) - 1
+    out = []
+    for h in range(1 << len(high)):
+        leaves.update((f, full if h >> j & 1 else 0) for j, f in enumerate(high))
+        t = _truth_table(e, leaves, len(low))
+        out += [_config(names, h << len(low) | m) for m in _bits(t)]
+    return out
 
 
 def witness(e: FeatExpr, universe: Iterable[str]) -> Configuration | None:
@@ -384,10 +384,20 @@ def witness(e: FeatExpr, universe: Iterable[str]) -> Configuration | None:
 
     Decided over the formula's own features within `universe`: the first
     solution in `all_configs` order has every other feature disabled.
+    Beyond 16 of them, each one above the 16th, highest first, is disabled
+    where `sat` allows, and the table over the lowest 16 gives the rest.
     """
     names = sorted(features_of(e) & frozenset(universe))
-    m = next(_minterms_of(e, names), None)
-    return None if m is None else _config(names, m)
+    low, high = names[:_ENUM_LIMIT], names[_ENUM_LIMIT:]
+    leaves, full = dict(zip(low, _masks(len(low)))), (1 << (1 << len(low))) - 1
+    e = and_all([e, *(Not(Feature(f)) for f in features_of(e) - set(names))])
+    for f in reversed(high):
+        off = conj(e, Not(Feature(f)))
+        e, leaves[f] = (off, 0) if sat(off) else (conj(e, Feature(f)), full)
+    t = _truth_table(e, leaves, len(low))
+    if not t:
+        return None
+    return _config(low, (t & -t).bit_length() - 1) | {f for f in high if leaves[f]}
 
 
 def taut(e: FeatExpr) -> bool:
@@ -483,23 +493,13 @@ def simplify(e: FeatExpr) -> FeatExpr:
     return _canonical(tuple(names), _table_over(e, names))
 
 
-def from_minterms(names: list[str], minterms: Iterable[int]) -> FeatExpr:
-    """The canonical formula holding exactly at `minterms` over sorted `names`.
-
-    Bit k of a minterm is the state of `names[k]`, as in `all_configs`.
-    """
-    digits = bytearray(b"0" * (1 << len(names)))
-    for m in minterms:
-        digits[-1 - m] = ord("1")
-    return from_table(names, int(digits, 2))
-
-
 def from_table(names: list[str], table: int) -> FeatExpr:
     """The canonical formula whose truth table over sorted `names` is `table`.
 
-    Bit m of the table is minterm m, as in `_table_over`.  Up to 12 names
-    this is `simplify` of the minterms' disjunction; above that, the
-    disjunction itself in ascending order unless it is constant.
+    Bit m of the table is minterm m, bit k of m standing for `names[k]` as
+    in `all_configs`.  Up to 12 names this is `simplify` of the minterms'
+    disjunction; above that, the disjunction itself in ascending order
+    unless it is constant.
     """
     if len(names) > _QM_LIMIT and 0 < table < (1 << (1 << len(names))) - 1:
         return or_all(minterm(_config(names, m), names) for m in _bits(table))
@@ -662,6 +662,73 @@ def _clean(e: FeatExpr) -> FeatExpr:
             return l
         return l if l == r else Or(l, r)
     return e
+
+
+# ---------------------------------------------------------------------------
+# Presence algebra
+# ---------------------------------------------------------------------------
+
+
+class _Formula:
+    """A condition of a `Universe` above 12 features: the formula, combined
+    by the operators of a truth table and decided by `sat`."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e: FeatExpr):
+        self.e = e
+
+    def __and__(self, other: _Formula) -> _Formula:
+        return _Formula(conj(self.e, other.e))
+
+    def __or__(self, other: _Formula) -> _Formula:
+        return _Formula(disj(self.e, other.e))
+
+    def __invert__(self) -> _Formula:
+        return _Formula(Not(self.e))
+
+    def __bool__(self) -> bool:
+        return sat(self.e)
+
+    def __eq__(self, other) -> bool:
+        return equiv(self.e, other.e)
+
+
+#: A condition of a `Universe`.  Only ``&``, ``|``, ``& ~x``, ``==`` and
+#: truth are used, and ``~x`` only as the right operand of ``&``.
+Table = int | _Formula
+
+
+class Universe:
+    """The presence conditions over sorted feature `names`, which are the
+    only features they mention.
+
+    Up to 12 names a condition is its truth table over them (bit m is
+    minterm m, bit k of m standing for `names[k]`, as in `all_configs`),
+    walked once from its formula and printed canonically from the table.
+    Above 12 names it is a `_Formula`, printed by `simplify`.  Either way
+    every decision is exact.
+    """
+
+    def __init__(self, names: Iterable[str]):
+        self.names = tuple(names)
+        self.tables = len(self.names) <= _QM_LIMIT
+        self._leaves = dict(zip(self.names, _masks(len(self.names)) if self.tables else ()))
+
+    def of(self, e: FeatExpr) -> Table:
+        return _truth_table(e, self._leaves, len(self.names)) if self.tables else _Formula(e)
+
+    def formula(self, t: Table) -> FeatExpr:
+        """The canonical form of `t` (above 12 features, `simplify`'s)."""
+        return _canonical(self.names, t) if self.tables else simplify(t.e)
+
+    def lowest(self, t: Table) -> int:
+        """The least minterm of a satisfiable `t`: where enumerating the
+        configurations in `all_configs` order first meets it."""
+        if self.tables:
+            return (t & -t).bit_length() - 1
+        c = witness(t.e, self.names)
+        return sum(1 << k for k, f in enumerate(self.names) if f in c)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ Three bridges between the variational and plain worlds:
 * `group_query` partitions the configuration space instead: it returns
   annotated plain queries, one per distinct configured form, whose feature
   expressions are pairwise disjoint and jointly cover every configuration.
+  It splits and intersects presence conditions in `featexpr.Universe` and
+  enumerates no configurations, so it has no feature limit.
   `group_generic` is the brute-force restatement (configure under every
-  configuration, bucket identical results) used as an oracle.
+  configuration, bucket identical results, at most 20 features) used as an
+  oracle.
 * `push_schema` conjoins schema presence conditions into the query's
   projection items, so that the query's own annotations carry everything
   the schema knows — the form the type system's preservation property
@@ -24,19 +27,17 @@ from .featexpr import (
     Configuration,
     FeatExpr,
     Not,
-    Or,
-    _table_over,
+    Table,
+    Universe,
     all_configs,
     conj,
     eval_fexp,
-    from_minterms,
     from_table,
     sat,
     simplify,
 )
 from .typecheck import type_of
 from .vra import (
-    EMPTY,
     Choice,
     CompareAttrAttr,
     CompareAttrConst,
@@ -125,135 +126,111 @@ class TooManyFeatures(ValueError):
     """Extensional grouping would enumerate more than 2^20 configurations."""
 
 
-def _names(x, features=None) -> list[str]:
-    """Sorted `features` (default: x's own), at most 20 of them."""
-    names = sorted(free_features(x) if features is None else set(features))
-    if len(names) > 20:
-        raise TooManyFeatures(
-            f"too many features to enumerate: {len(names)} (the limit is 20)"
-        )
-    return names
+def _merge(pairs: list, key) -> list:
+    """Pairs whose values have equal keys, merged with ``|`` in order of
+    first occurrence."""
+    merged: dict[object, tuple[object, Table]] = {}
+    for value, t in pairs:
+        k = key(value)
+        merged[k] = (merged[k][0], merged[k][1] | t) if k in merged else (value, t)
+    return list(merged.values())
 
 
-def _group_extensional(x, configure, key, features=None):
-    """Bucket x's configured forms over `features` (default: its own).
+def _cross(xs: list, ys: list, make) -> list:
+    """`make(x, y)` for every pair whose conditions intersect, x-major."""
+    return [(make(x, y), t) for x, tx in xs for y, ty in ys if (t := tx & ty)]
 
-    Returns [(plain form, fexp)] in first-seen order; each fexp is the
-    canonical formula of the configurations giving that form, read off the
-    bucket's minterms.
-    """
-    names = _names(x, features)
-    buckets: dict[object, list[int]] = {}
-    reps: dict[object, object] = {}
-    for m, c in enumerate(all_configs(names)):
-        plain = configure(x, c)
-        k = key(plain)
-        if k not in buckets:
-            buckets[k] = []
-            reps[k] = plain
-        buckets[k].append(m)
-    return [(reps[k], from_minterms(names, ms)) for k, ms in buckets.items()]
+
+def _split(t: Table, xs: list, ys: list) -> list:
+    """`xs` where `t` holds, then `ys` where it does not."""
+    return [(x, s) for x, tx in xs if (s := tx & t)] + [(y, s) for y, ty in ys if (s := ty & ~t)]
+
+
+def _cond_blocks(c: VCondition, u: Universe) -> list:
+    """The distinct configured forms of `c` with their conditions in `u`:
+    choices split their branches' blocks by their dimension, and the other
+    connectives map or cross them."""
+    if isinstance(c, (CondLit, CompareAttrConst, CompareAttrAttr)):
+        return [(c, u.of(TRUE))]
+    if isinstance(c, CondNot):
+        return [(CondNot(x), t) for x, t in _cond_blocks(c.operand, u)]
+    if isinstance(c, (CondAnd, CondOr)):
+        return _cross(_cond_blocks(c.left, u), _cond_blocks(c.right, u), type(c))
+    if isinstance(c, CondChoice):
+        left, right = _cond_blocks(c.left, u), _cond_blocks(c.right, u)
+        return _merge(_split(u.of(c.dim), left, right), lambda x: x)
+    raise TypeError(f"not a condition: {c!r}")
+
+
+def _blocks(x: VCondition | VSet, u: Universe) -> list:
+    """The distinct configured forms of a condition or a projection list,
+    with their conditions in `u`, in the order enumerating configurations
+    first meets them.  Each element of a list splits every block into the
+    part that keeps the element and the part that drops it."""
+    if isinstance(x, VCondition):
+        blocks = _cond_blocks(x, u)
+    else:
+        kept = [((), u.of(TRUE))]
+        for el in x:
+            t = u.of(el.pc)
+            kept = [
+                (values + (el.value,) * inside, part)
+                for values, b in kept
+                for part, inside in ((b & t, True), (b & ~t, False))
+                if part
+            ]
+        blocks = [(VSet(tuple(VElem(v, TRUE) for v in values)), t) for values, t in kept]
+    if len(blocks) < 2:
+        return blocks
+    return sorted(blocks, key=lambda block: u.lowest(block[1]))
 
 
 def group_cond(c: VCondition) -> list[tuple[VCondition, FeatExpr]]:
-    """Distinct configured conditions with their covering feature expressions."""
-    return _group_extensional(c, configure_cond, lambda p: p)
+    """Distinct configured conditions with their covering fexps, in
+    `group_generic`'s order."""
+    u = Universe(sorted(free_features(c)))
+    return [(x, u.formula(t)) for x, t in _blocks(c, u)]
 
 
 def group_attrs(attrs: VSet) -> list[tuple[VSet, FeatExpr]]:
-    """Distinct configured projection lists with their covering fexps.
-
-    `_group_extensional`'s pairs, by refinement instead of enumeration: each
-    element's truth table splits every block of configurations into those
-    that keep the element and those that drop it.  Ordering blocks by their
-    lowest minterm gives enumeration's first-seen order.
-    """
-    names = _names(attrs)
-    blocks = [((1 << (1 << len(names))) - 1, ())]
-    for el in attrs:
-        t = _table_over(el.pc, names)
-        blocks = [
-            (part, kept + (el.value,) * inside)
-            for b, kept in blocks
-            for part, inside in ((b & t, True), (b & ~t, False))
-            if part
-        ]
-    blocks.sort(key=lambda block: (block[0] & -block[0]).bit_length())
-    return [
-        (VSet(tuple(VElem(v, TRUE) for v in kept)), from_table(names, b))
-        for b, kept in blocks
-    ]
+    """Distinct configured projection lists with their covering fexps, in
+    `group_generic`'s order."""
+    u = Universe(sorted(free_features(attrs)))
+    return [(x, u.formula(t)) for x, t in _blocks(attrs, u)]
 
 
 def group_query(q: VQuery) -> QueryGroup:
     """Partition the configuration space by configured query form.
 
-    Compositional: choices split the space by their dimension, and every
-    other form crosses its parts' groups, conjoining feature expressions.
-    The result is normalized — unsatisfiable pairs dropped, structurally
-    identical plain queries merged by disjoining their fexps, fexps
-    simplified — so it contains distinct plain queries whose fexps are
-    pairwise disjoint and jointly cover all configurations.
+    Compositional, in `Universe(free_features(q))`: choices split the space
+    by their dimension, and every other form crosses its parts' groups,
+    dropping empty intersections.  Identical plain queries then merge, so
+    the result holds distinct plain queries whose fexps are pairwise
+    disjoint and jointly cover all configurations.
     """
-    return _normalize_group(_group(q))
+    u = Universe(sorted(free_features(q)))
+    return [(plain, u.formula(t)) for plain, t in _merge(_group(q, u), plain_key)]
 
 
-def _group(q: VQuery) -> QueryGroup:
+def _group(q: VQuery, u: Universe) -> list:
     if isinstance(q, (Relation, Empty)):
-        return [(q, TRUE)]
+        return [(q, u.of(TRUE))]
     if isinstance(q, Select):
-        return [
-            (Select(c, sub), conj(ec, es))
-            for sub, es in _group(q.sub)
-            for c, ec in group_cond(q.cond)
-        ]
+        return _cross(_group(q.sub, u), _blocks(q.cond, u), lambda sub, c: Select(c, sub))
     if isinstance(q, Project):
-        return [
-            (Project(attrs, sub), conj(ea, es))
-            for sub, es in _group(q.sub)
-            for attrs, ea in group_attrs(q.attrs)
-        ]
+        return _cross(_group(q.sub, u), _blocks(q.attrs, u), lambda sub, a: Project(a, sub))
     if isinstance(q, Choice):
-        return [
-            (sub, conj(q.dim, e)) for sub, e in _group(q.left)
-        ] + [
-            (sub, conj(Not(q.dim), e)) for sub, e in _group(q.right)
-        ]
+        return _split(u.of(q.dim), _group(q.left, u), _group(q.right, u))
     if isinstance(q, Join):
-        return [
-            (Join(c, l, r), conj(ec, conj(el, er)))
-            for l, el in _group(q.left)
-            for r, er in _group(q.right)
-            for c, ec in group_cond(q.cond)
-        ]
+        pairs = _cross(_group(q.left, u), _group(q.right, u), lambda l, r: (l, r))
+        return _cross(pairs, _blocks(q.cond, u), lambda lr, c: Join(c, *lr))
     if isinstance(q, Product):
-        return [
-            (Product(l, r), conj(el, er))
-            for l, el in _group(q.left)
-            for r, er in _group(q.right)
-        ]
+        return _cross(_group(q.left, u), _group(q.right, u), Product)
     if isinstance(q, SetOp):
-        return [
-            (SetOp(q.kind, l, r), conj(el, er))
-            for l, el in _group(q.left)
-            for r, er in _group(q.right)
-        ]
+        return _cross(
+            _group(q.left, u), _group(q.right, u), lambda l, r: SetOp(q.kind, l, r)
+        )
     raise TypeError(f"not a query: {q!r}")
-
-
-def _normalize_group(pairs: QueryGroup) -> QueryGroup:
-    merged: dict[object, FeatExpr] = {}
-    reps: dict[object, PlainQuery] = {}
-    for plain, e in pairs:
-        if not sat(e):
-            continue
-        k = plain_key(plain)
-        if k in merged:
-            merged[k] = Or(merged[k], e)
-        else:
-            merged[k] = e
-            reps[k] = plain
-    return [(reps[k], simplify(e)) for k, e in merged.items()]
 
 
 def group_generic(x, features=None):
@@ -261,21 +238,32 @@ def group_generic(x, features=None):
 
     Works for anything configurable here — queries, conditions, projection
     v-sets.  `features` defaults to the entity's own free features; pass a
-    larger universe to group over it instead (the fexps then mention only
-    the features that matter, since they are simplified).
+    larger universe to group over it instead.  Returns [(plain form, fexp)]
+    in first-seen order, each fexp read off its bucket's truth table by
+    `from_table`.  At most 20 features.
     """
     if isinstance(x, VQuery):
         configure, key = configure_query, plain_key
     elif isinstance(x, VCondition):
         configure, key = configure_cond, lambda p: p
     elif isinstance(x, VSet):
-        configure, key = (
-            lambda v, c: configure_vset(v, c),
-            lambda p: tuple(p),
-        )
+        configure, key = configure_vset, tuple
     else:
         raise TypeError(f"cannot group {x!r}")
-    return _group_extensional(x, configure, key, features)
+    names = sorted(free_features(x) if features is None else set(features))
+    if len(names) > 20:
+        raise TooManyFeatures(f"too many features to enumerate: {len(names)} (the limit is 20)")
+    buckets: dict[object, tuple[object, bytearray]] = {}
+    for m, c in enumerate(all_configs(names)):
+        plain = configure(x, c)
+        k = key(plain)
+        if k not in buckets:
+            buckets[k] = plain, bytearray((1 << len(names)) + 7 >> 3)
+        buckets[k][1][m >> 3] |= 1 << (m & 7)
+    return [
+        (plain, from_table(names, int.from_bytes(bits, "little")))
+        for plain, bits in buckets.values()
+    ]
 
 
 # ---------------------------------------------------------------------------

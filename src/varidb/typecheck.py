@@ -30,16 +30,17 @@ Rules, one per query form:
   result.
 * the empty relation types as no attributes annotated false.
 
-Every side condition is decided on truth tables over the schema's declared
-features (`_Universe`).  Each formula of the query or the schema is walked
-once, into its table; each presence condition of a `QueryType` is a table
-built from its children's with ``&``, ``|`` and ``& ~``, and a side condition
-is a few bit operations on them.  Above 16 features a "table" is the formula
-itself and the same operators decide it with `sat`.  The formula forms of a
-type (`attrs`, `annotation`, `pushed_attrs`, `render`) are built only when
-read, by the rules above: the annotation is structural, and a pushed
-attribute condition is ``simplify(pc ∧ annotation)``, read off the table by
-`_canonical` where the universe has at most 12 features.
+Every side condition is decided in the presence algebra of
+`featexpr.Universe` over the schema's declared features.  Each formula of
+the query or the schema is walked once, into its truth table; each presence
+condition of a `QueryType` is built from its children's with ``&``, ``|``
+and ``& ~``, and a side condition is a few bit operations on them.  Above
+12 features a condition is the formula itself and the same operators decide
+it with `sat`.  The formula forms of a type (`attrs`, `annotation`,
+`pushed_attrs`, `render`) are built only when read, by the rules above: the
+annotation is structural, and a pushed attribute condition is
+``simplify(pc ∧ annotation)``, read off the table where the universe has at
+most 12 features.
 
 The companion plain rules (`plain_type`) type configured queries against a
 configured schema, and `check_variation_preservation` confirms the two sides
@@ -54,8 +55,6 @@ from typing import Callable, NamedTuple
 
 from .catalog import AttrType, PlainSchema, VSchema, configure_schema
 from .featexpr import (
-    _ENUM_LIMIT,
-    _QM_LIMIT,
     FALSE,
     TRUE,
     And,
@@ -63,15 +62,12 @@ from .featexpr import (
     FeatExpr,
     Not,
     Or,
-    _canonical,
-    _masks,
-    _truth_table,
+    Table,
+    Universe,
     conj,
     disj,
-    equiv,
     features_of,
     print_fexp,
-    sat,
     simplify,
     solutions,
 )
@@ -100,61 +96,6 @@ from .vra import (
 from .vset import VElem, VSet, configure_vset, print_vset
 
 
-class _Formula:
-    """A presence condition over more than 16 features.
-
-    It combines with the operators of a truth table, building the formula,
-    and is decided by `sat`, so the typing rules are written once.
-    """
-
-    __slots__ = ("e",)
-
-    def __init__(self, e: FeatExpr):
-        self.e = e
-
-    def __and__(self, other: _Formula) -> _Formula:
-        return _Formula(And(self.e, other.e))
-
-    def __or__(self, other: _Formula) -> _Formula:
-        return _Formula(Or(self.e, other.e))
-
-    def __invert__(self) -> _Formula:
-        return _Formula(Not(self.e))
-
-    def __bool__(self) -> bool:
-        return sat(self.e)
-
-    def __eq__(self, other) -> bool:
-        return equiv(self.e, other.e)
-
-
-#: A presence condition as the typing rules see it: a truth table, or a
-#: `_Formula` above 16 features.  Only ``&``, ``|``, ``& ~x``, ``==`` and
-#: truth are used, and ``~x`` only as the right operand of ``&``.
-Table = int | _Formula
-
-
-class _Universe:
-    """The features a typing ranges over, sorted: the schema's, and any
-    further ones of the variation context.
-
-    Up to 16 features a presence condition is its truth table over them
-    (bit m is minterm m, as in `featexpr._table_over`); above that it is a
-    `_Formula`.
-    """
-
-    def __init__(self, names: tuple[str, ...]):
-        self.names = names
-        small = len(names) <= _ENUM_LIMIT
-        self.leaves = dict(zip(names, _masks(len(names)))) if small else None
-        self.false: Table = 0 if small else _Formula(FALSE)
-
-    def of(self, e: FeatExpr) -> Table:
-        if self.leaves is None:
-            return _Formula(e)
-        return _truth_table(e, self.leaves, len(self.names))
-
-
 class AttrInfo(NamedTuple):
     """What is known about one attribute of a query type."""
 
@@ -177,7 +118,7 @@ class QueryType:
         attr_tables: dict[str, Table],
         ann_table: Table,
         info: dict[str, AttrInfo],
-        universe: _Universe,
+        universe: Universe,
         forms: Callable[[], tuple[dict[str, FeatExpr], FeatExpr]],
     ):
         self.attr_tables = attr_tables
@@ -222,9 +163,9 @@ class QueryType:
         annotation = self.annotation
         if annotation == TRUE:
             return self.attr_pcs
-        names, pcs = self.universe.names, self.attr_pcs
-        if len(names) <= _QM_LIMIT:
-            return {name: _canonical(names, t) for name, t in self.pushed.items()}
+        u, pcs = self.universe, self.attr_pcs
+        if u.tables:
+            return {name: u.formula(t) for name, t in self.pushed.items()}
         return {name: simplify(And(pcs[name], annotation)) for name in self.pushed}
 
     def pushed_attrs(self) -> VSet:
@@ -266,8 +207,8 @@ class VTypeError(Exception):
         super().__init__(f"{kind} at {path}: {detail}")
 
 
-def _empty_type(u: _Universe) -> QueryType:
-    return QueryType({}, u.false, {}, u, lambda: ({}, FALSE))
+def _empty_type(u: Universe) -> QueryType:
+    return QueryType({}, u.of(FALSE), {}, u, lambda: ({}, FALSE))
 
 
 def type_of(
@@ -297,7 +238,7 @@ def type_of(
         )
     if ctx is None:
         ctx = schema.model
-    u = _Universe(tuple(sorted(frozenset(schema.features) | features_of(ctx))))
+    u = Universe(sorted(frozenset(schema.features) | features_of(ctx)))
     ct = u.of(ctx)
     if not ct:
         raise VTypeError(
@@ -313,7 +254,7 @@ class _Typing:
     table, for decisions.
     """
 
-    def __init__(self, u: _Universe, strict: bool, schema: VSchema | None = None, conds=True):
+    def __init__(self, u: Universe, strict: bool, schema: VSchema | None = None, conds=True):
         self.u, self.strict, self.schema, self.conds = u, strict, schema, conds
 
     def query(self, q: VQuery, ctx: FeatExpr, ct: Table, path: str) -> QueryType:

@@ -5,7 +5,7 @@ import sqlite3
 from pathlib import Path
 
 from varidb.cli import main
-from varidb.featexpr import And, parse_fexp, print_fexp, sat
+from varidb.featexpr import And, eval_fexp, parse_fexp, print_fexp, sat, solutions
 from varidb.minimize import minimize
 from varidb.storage import load_vdb
 from varidb.translate import group_query, push_schema
@@ -72,16 +72,80 @@ def test_answering_rejects_undeclared_features(capsys, monkeypatch):
         assert err.startswith("type error: UndeclaredFeature") and err.count("\n") == 1
 
 
-def test_grouping_beyond_twenty_features_exits_1(tmp_path, capsys, monkeypatch):
-    names = [f"g{i}" for i in range(24)]
-    (tmp_path / "schema.vschema").write_text(
-        f"features {', '.join(names)}\nrelation r (a1 int, a2 int)\n"
-    )
-    (tmp_path / "r.csv").write_text("a1,a2,presCond\n1,2,true\n")
-    text = f"proj [a1, a2 # {' & '.join(names)}] r"
+def _wide_vdb(root, n, model=None):
+    """A v-db declaring features g00 … g(n-1), and the query that keeps a2
+    only where every one of them is enabled."""
+    names = [f"g{i:02d}" for i in range(n)]
+    schema = f"features {', '.join(names)}\n"
+    if model is not None:
+        schema += f"featuremodel {model}\n"
+    (root / "schema.vschema").write_text(schema + "relation r (a1 int, a2 int)\n")
+    (root / "r.csv").write_text("a1,a2,presCond\n1,2,true\n3,4,g00\n5,6,!g01\n")
+    return names, f"proj [a1, a2 # {' & '.join(names)}] r"
+
+
+def test_grouping_beyond_twelve_features(tmp_path, capsys, monkeypatch):
+    # beyond 12 features a group prints as its structural formula, not as
+    # the 4095 minterms where the group holds
+    names, text = _wide_vdb(tmp_path, 13)
+    every = " & ".join(names)
     code, out, err = run_cli(["group", str(tmp_path)], text, capsys, monkeypatch)
-    assert (code, out) == (1, "")
-    assert err == "error: too many features to enumerate: 24 (the limit is 20)\n"
+    assert (code, err) == (0, "")
+    # lowest minterm first: all features disabled lies in the negation
+    assert out == f"proj [a1] r # !({every})\nproj [a1, a2] r # {every}\n"
+    code, out, err = run_cli(
+        ["run", "--strategy", "group", str(tmp_path)], text, capsys, monkeypatch
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["a1,a2,presCond", f"1,2,{every}", f"1,,!({every})"]
+    code, out, err = run_cli(["sql", str(tmp_path)], text, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    blocks, _ = _statement_blocks(out)
+    assert blocks == [
+        f"SELECT DISTINCT a1, NULL AS a2, '!({every})' AS presCond FROM r\n"
+        "UNION ALL\n"
+        f"SELECT DISTINCT a1, a2, '{every}' AS presCond FROM r"
+    ]
+    assert check_sql(blocks[0]) == [3, 3]
+
+
+def test_grouping_beyond_twenty_features_exits_0(tmp_path, capsys, monkeypatch):
+    # grouping splits presence conditions and enumerates no
+    # configurations, so it has no feature limit
+    names, text = _wide_vdb(tmp_path, 24)
+    every = " & ".join(names)
+    code, out, err = run_cli(["group", str(tmp_path)], text, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == f"proj [a1] r # !({every})\nproj [a1, a2] r # {every}\n"
+
+
+def _rows(out):
+    """The data rows of `run`'s CSV as (values, parsed presence condition)."""
+    header, *lines = out.splitlines()
+    width = header.count(",")
+    return [
+        (tuple(cells[:-1]), parse_fexp(cells[-1]))
+        for cells in (line.split(",", width) for line in lines)
+    ]
+
+
+def test_wide_group_run_agrees_with_configure_run(tmp_path, capsys, monkeypatch):
+    # a feature model that leaves 4 of 2^24 configurations keeps the
+    # enumerating strategy cheap
+    model = " & ".join(f"g{i:02d}" for i in range(2, 24))
+    names, _ = _wide_vdb(tmp_path, 24, model=model)
+    text = f"choice g01 {{ proj [a1, a2 # {' & '.join(names)}] r }} {{ proj [a2] r }}"
+    configs = solutions(parse_fexp(model), names)
+    assert len(configs) == 4
+    results = []
+    for strategy in ("group", "configure"):
+        argv = ["run", "--strategy", strategy, str(tmp_path)]
+        code, out, err = run_cli(argv, text, capsys, monkeypatch)
+        assert (code, err) == (0, ""), strategy
+        # each row with the model's configurations where it is present
+        results.append([(v, [eval_fexp(e, c) for c in configs]) for v, e in _rows(out)])
+    assert results[0] == results[1]
+    assert len(results[0]) == 6
 
 
 def test_deeply_nested_conditions_exit_1(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,7 @@ from varidb.featexpr import (
     equiv,
     eval_fexp,
     features_of,
+    from_table,
     implies,
     minterm,
     or_all,
@@ -31,7 +32,6 @@ from varidb.featexpr import (
     _canonical,
     _masks,
     _primes,
-    from_minterms,
     sat,
     simplify,
     solutions,
@@ -285,8 +285,8 @@ def test_truth_tables_agree_with_per_assignment_reference():
             # `product` in `_table` puts support[0] in the highest bit
             relevant = {f for k, f in enumerate(support) if _depends(rows, 1 << (n - 1 - k))}
             assert features_of(s) == relevant, print_fexp(e)
-            minterms = [m for m, c in enumerate(all_configs(support)) if eval_fexp(e, c)]
-            assert from_minterms(support, minterms) == s
+            table = sum(1 << m for m, c in enumerate(all_configs(support)) if eval_fexp(e, c))
+            assert from_table(support, table) == s
         if len(names) <= 10:
             larger = names + ["g1"]
             smaller = names[:]
@@ -363,7 +363,7 @@ def test_dense_ten_variable_function_canonicalizes():
     rng = random.Random(10)
     names = [f"d{k}" for k in range(10)]
     minterms = {m for m in range(1 << 10) if rng.random() < 0.5}
-    e = from_minterms(names, minterms)
+    e = from_table(names, sum(1 << m for m in minterms))
     assert features_of(e) == set(names)
     assert solutions(e, names) == [c for m, c in enumerate(all_configs(names)) if m in minterms]
 
@@ -371,7 +371,7 @@ def test_dense_ten_variable_function_canonicalizes():
 def test_canonical_memo_keeps_its_cache_interface():
     _canonical.cache_clear()
     a = simplify(parse_fexp("a & b | a & !b"))
-    b = from_minterms(["a", "b"], [1, 3])
+    b = from_table(["a", "b"], 0b1010)
     info = _canonical.cache_info()
     assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 65536)
     assert a is b and a == A

@@ -1,4 +1,4 @@
-"""Property tests: the fexp round trip and the CLI's exit-code contract."""
+"""Property tests: print/parse round trips and the CLI's exit-code contract."""
 
 import contextlib
 import io
@@ -9,7 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varidb.cli import main
-from varidb.featexpr import FALSE, TRUE, And, Feature, Not, Or, parse_fexp, print_fexp
+from varidb.featexpr import FALSE, TRUE, And, Feature, Not, Or, parse_fexp, print_fexp, sat
+from varidb.vra import (
+    COMPARISON_OPS,
+    EMPTY,
+    AttrRef,
+    Choice,
+    CompareAttrAttr,
+    CompareAttrConst,
+    CondAnd,
+    CondChoice,
+    CondLit,
+    CondNot,
+    CondOr,
+    Const,
+    Join,
+    Product,
+    Project,
+    Relation,
+    Select,
+    SetOp,
+    parse_query,
+    print_query,
+)
+from varidb.vset import VElem, VSet, parse_vset, print_vset
 
 TOY = str(Path(__file__).resolve().parent / "fixtures" / "toy")
 
@@ -31,6 +54,82 @@ fexps = st.recursive(
 @given(fexps)
 def test_fexp_print_parse_round_trip(e):
     assert parse_fexp(print_fexp(e)) == e
+
+
+#: Identifiers, keywords among them, so that the printer's `rel` prefix and
+#: the quoting of values are exercised.
+_IDENTS = st.one_of(
+    st.sampled_from(["rel", "sel", "proj", "choice", "empty", "true", "false", "CHC"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+)
+_ATTRS = st.one_of(_IDENTS, st.builds("{}.{}".format, _IDENTS, _IDENTS))
+_VALUES = st.one_of(st.integers(), st.booleans(), st.text(max_size=8), _ATTRS)
+_PCS = st.one_of(st.just(TRUE), fexps.filter(sat))
+
+vsets = st.builds(
+    lambda items, annotation: VSet(tuple(VElem(v, pc) for v, pc in items), annotation),
+    st.lists(st.tuples(_VALUES, _PCS), max_size=5),
+    st.one_of(st.just(TRUE), fexps),
+)
+
+
+@_SETTINGS
+@given(vsets)
+def test_vset_print_parse_round_trip(x):
+    assert parse_vset(print_vset(x)) == x
+
+
+#: A condition reads a bare `true`, `false` or `CHC` as a keyword, so an
+#: unqualified attribute of that name cannot be written in one.
+_REFS = st.one_of(
+    st.builds(AttrRef, _IDENTS.filter(lambda w: w not in ("true", "false", "CHC"))),
+    st.builds(AttrRef, _IDENTS, _IDENTS),
+)
+_OPS = st.sampled_from(COMPARISON_OPS)
+
+conditions = st.recursive(
+    st.one_of(
+        st.builds(CondLit, st.booleans()),
+        st.builds(
+            CompareAttrConst,
+            _REFS,
+            _OPS,
+            st.builds(Const, st.one_of(st.integers(), st.booleans(), st.text(max_size=8))),
+        ),
+        st.builds(CompareAttrAttr, _REFS, _OPS, _REFS),
+    ),
+    lambda sub: st.one_of(
+        st.builds(CondNot, sub),
+        st.builds(CondAnd, sub, sub),
+        st.builds(CondOr, sub, sub),
+        st.builds(CondChoice, fexps, sub, sub),
+    ),
+    max_leaves=6,
+)
+
+_PROJ_LISTS = st.builds(
+    lambda items: VSet(tuple(VElem(a, pc) for a, pc in items)),
+    st.lists(st.tuples(_ATTRS, _PCS), max_size=4),
+)
+
+queries = st.recursive(
+    st.one_of(st.builds(Relation, _IDENTS), st.just(EMPTY)),
+    lambda sub: st.one_of(
+        st.builds(Select, conditions, sub),
+        st.builds(Project, _PROJ_LISTS, sub),
+        st.builds(Choice, fexps, sub, sub),
+        st.builds(Join, conditions, sub, sub),
+        st.builds(Product, sub, sub),
+        st.builds(SetOp, st.sampled_from(["union", "difference"]), sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+@_SETTINGS
+@given(queries)
+def test_query_print_parse_round_trip(q):
+    assert parse_query(print_query(q)) == q
 
 
 #: Every subcommand that reads a query, with the options it needs.

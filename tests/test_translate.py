@@ -35,15 +35,27 @@ from varidb.translate import (
 )
 from varidb.vra import (
     EMPTY,
+    AttrRef,
     Choice,
+    CompareAttrConst,
+    CondAnd,
+    CondChoice,
+    CondNot,
+    CondOr,
+    Const,
+    Join,
+    Product,
+    Project,
     Relation,
+    Select,
+    SetOp,
     free_features,
     parse_cond,
     parse_query,
     plain_key,
     print_query,
 )
-from varidb.vset import VElem, VSet
+from varidb.vset import VElem, VSet, configure_vset
 
 TOY = parse_schema(
     """
@@ -380,13 +392,67 @@ def _same_groups(got, expected):
     )
 
 
+def _enumerated(x, configure, key):
+    """`group_generic(x)`'s groups as truth tables over x's sorted features
+    (bit m for minterm m, as in `all_configs`), in its order: each form
+    that configuring x gives, with the configurations that give it."""
+    where = {}
+    for m, c in enumerate(all_configs(sorted(free_features(x)))):
+        k = key(configure(x, c))
+        where[k] = where.get(k, 0) | 1 << m
+    return where
+
+
+def _table_of(e, names):
+    """The truth table of `e` over sorted `names`, walked with an explicit
+    stack rather than recursively."""
+    n = len(names)
+    masks = {
+        f: int("".join(str(m >> k & 1) for m in reversed(range(1 << n))), 2)
+        for k, f in enumerate(names)
+    }
+    full = (1 << (1 << n)) - 1
+    todo, values = [(e, False)], []
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Feature):
+            values.append(masks.get(node.name, 0))
+        elif isinstance(node, Not):
+            if ready:
+                values.append(values.pop() ^ full)
+            else:
+                todo += [(node, True), (node.operand, False)]
+        elif isinstance(node, (And, Or)):
+            if ready:
+                right, left = values.pop(), values.pop()
+                values.append(left & right if isinstance(node, And) else left | right)
+            else:
+                todo += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            values.append(full if node.value else 0)
+    return values.pop()
+
+
+def _same_partition(got, x, configure, key):
+    """`got` lists `group_generic(x)`'s forms in its order, and each of its
+    formulas holds exactly where x configures to that form.  Enumerated
+    here, since above 12 features the oracle's formulas are minterm
+    disjunctions thousands of nodes deep, and are not compared."""
+    where, names = _enumerated(x, configure, key), sorted(free_features(x))
+    return [(key(v), _table_of(e, names)) for v, e in got] == list(where.items())
+
+
 def test_group_attrs_matches_the_enumerating_oracle():
-    # Above 12 features every group formula is a minterm disjunction, so one
-    # 13-feature list costs as much as all the smaller ones together.
+    # Above 12 features the oracle's formulas are minterm disjunctions and
+    # group_attrs's are structural, so a 13-feature list is checked by its
+    # partition.
     rng = random.Random(2019)
-    for n in list(range(13)) * 3 + [13]:
+    for n in list(range(13)) * 3:
         attrs = _random_attr_list(rng, n)
         assert _same_groups(group_attrs(attrs), group_generic(attrs)), n
+    attrs = _random_attr_list(rng, 13)
+    key = lambda v: tuple(v.values() if isinstance(v, VSet) else v)  # noqa: E731
+    assert _same_partition(group_attrs(attrs), attrs, configure_vset, key)
 
 
 def test_group_attrs_wide_lists_and_the_cap():
@@ -399,6 +465,97 @@ def test_group_attrs_wide_lists_and_the_cap():
         assert [(tuple(v.values()), e) for v, e in got] == [(("x0", "x1", "x2"), TRUE)]
         if n == 14:
             assert _same_groups(got, group_generic(attrs))
-    wider = VSet((VElem("x0", or_all(Feature(f"h{k:02d}") for k in range(21))),))
+    # beyond 20 features grouping needs no enumeration; the oracle still stops
+    some = or_all(Feature(f"h{k:02d}") for k in range(21))
+    wider = VSet((VElem("x0", some),))
+    got = group_attrs(wider)
+    assert [(tuple(v.values()), e) for v, e in got] == [((), Not(some)), (("x0",), some)]
     with pytest.raises(TooManyFeatures, match="too many features to enumerate: 21"):
-        group_attrs(wider)
+        group_generic(wider)
+
+
+def _random_cond(rng, names, depth):
+    """A condition whose choices nest up to `depth` deep over `names`."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return CompareAttrConst(AttrRef(rng.choice("ab")), "=", Const(rng.randint(1, 3)))
+    if roll < 0.3:
+        return CondNot(_random_cond(rng, names, depth - 1))
+    if roll < 0.45:
+        make = rng.choice([CondAnd, CondOr])
+        return make(_random_cond(rng, names, depth - 1), _random_cond(rng, names, depth - 1))
+    return CondChoice(
+        _random_pc(rng, names, []),
+        _random_cond(rng, names, depth - 1),
+        _random_cond(rng, names, depth - 1),
+    )
+
+
+def _spanning(names):
+    """A clause over every one of `names`."""
+    return or_all(Feature(f) if k % 2 else Not(Feature(f)) for k, f in enumerate(names))
+
+
+def _random_wide_cond(rng, n):
+    """A condition with nested choices whose dimensions span exactly n features."""
+    names = [f"h{k:02d}" for k in range(n)]
+    c = _random_cond(rng, names, 3)
+    return CondChoice(_spanning(names), c, _random_cond(rng, names, 2)) if names else c
+
+
+def test_group_cond_matches_the_enumerating_oracle():
+    rng = random.Random(1956)
+    for n in list(range(13)) * 3:
+        c = _random_wide_cond(rng, n)
+        got, expected = group_cond(c), group_generic(c)
+        assert [x for x, _ in got] == [x for x, _ in expected], n
+        assert all(_same_tree(e1, e2) for (_, e1), (_, e2) in zip(got, expected)), n
+    for n in (13, 14):
+        c = _random_wide_cond(rng, n)
+        assert _same_partition(group_cond(c), c, configure_cond, lambda x: x), n
+        if n == 13:  # the enumeration stands in for the oracle
+            expected = list(_enumerated(c, configure_cond, lambda x: x))
+            assert [x for x, _ in group_generic(c)] == expected
+
+
+def _random_query(rng, names, depth):
+    """A query of every form, its dimensions and conditions over `names`."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        return Relation(rng.choice(["r", "s"]))
+    sub = lambda: _random_query(rng, names, depth - 1)  # noqa: E731
+    if roll < 0.35:
+        return Choice(_random_pc(rng, names, []), sub(), sub())
+    if roll < 0.5:
+        pcs = [_random_pc(rng, names, []) for _ in range(rng.randint(0, 3))]
+        return Project(VSet(tuple(VElem(f"x{i}", pc) for i, pc in enumerate(pcs))), sub())
+    if roll < 0.65:
+        return Select(_random_cond(rng, names, 2), sub())
+    if roll < 0.75:
+        return Join(_random_cond(rng, names, 1), sub(), sub())
+    if roll < 0.85:
+        return Product(sub(), sub())
+    return SetOp(rng.choice(["union", "difference"]), sub(), sub())
+
+
+def _random_wide_query(rng, n):
+    names = [f"h{k:02d}" for k in range(n)]
+    q = _random_query(rng, names, 3)
+    return Choice(_spanning(names), q, _random_query(rng, names, 2)) if names else q
+
+
+def test_group_query_matches_the_enumerating_oracle():
+    # group_query's order is compositional (choices list their left branch
+    # first), so its groups are compared with the oracle's by plain query.
+    rng = random.Random(1986)
+    for n in list(range(13)) * 3:
+        q = _random_wide_query(rng, n)
+        got = {plain_key(p): e for p, e in group_query(q)}
+        expected = {plain_key(p): e for p, e in group_generic(q)}
+        assert got.keys() == expected.keys(), n
+        assert all(_same_tree(got[k], expected[k]) for k in got), n
+    for n in (13, 14):
+        q = _random_wide_query(rng, n)
+        names = sorted(free_features(q))
+        got = {plain_key(p): _table_of(e, names) for p, e in group_query(q)}
+        assert got == _enumerated(q, configure_query, plain_key), n
