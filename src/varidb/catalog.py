@@ -15,6 +15,8 @@ Schema files are line-oriented:
     relation ecourse (courseno int, coursename text, deptno int # T5) # T4 | T5
 
 `# fexp` annotates the preceding attribute or relation; omitted means true.
+`true`, `false` and `CHC` name no feature, relation or attribute, since
+formulas, conditions and queries read them as constants or choices.
 A physical line that does not start with a keyword continues the previous
 logical line.  All invariants (undeclared features, duplicate names,
 presence conditions that can never hold) are hard errors at parse time.
@@ -213,6 +215,14 @@ def parse_config(text: str, s: VSchema) -> frozenset[str]:
 
 _KEYWORDS = ("features", "featuremodel", "relation")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Words that formulas, conditions or queries read as constants or choices.
+_RESERVED = ("true", "false", "CHC")
+
+
+def _name(word: str, what: str) -> str:
+    if word in _RESERVED:
+        raise CatalogError(f"reserved word {word} used as {what} name")
+    return word
 
 
 def parse_schema(text: str) -> VSchema:
@@ -268,7 +278,7 @@ def _parse_features(rest: str) -> tuple[str, ...]:
             raise CatalogError("empty feature name")
         if not _IDENT.fullmatch(part):
             raise CatalogError(f"invalid feature name {part!r}")
-        names.append(part)
+        names.append(_name(part, "feature"))
     return tuple(names)
 
 
@@ -285,7 +295,7 @@ def _parse_relation(rest: str) -> VRelSchema:
     m = _IDENT.match(rest, i)
     if not m:
         raise ParseError("expected relation name", i)
-    name = m.group()
+    name = _name(m.group(), "relation")
     i = _skip_ws(rest, m.end())
     if i >= len(rest) or rest[i] != "(":
         raise ParseError("expected '('", i)
@@ -298,7 +308,7 @@ def _parse_relation(rest: str) -> VRelSchema:
         m = _IDENT.match(rest, i)
         if not m:
             raise ParseError("expected attribute name", i)
-        attr_name = m.group()
+        attr_name = _name(m.group(), "attribute")
         i = _skip_ws(rest, m.end())
         m = _IDENT.match(rest, i)
         if not m or m.group() not in _TYPE_KEYWORDS:

@@ -26,7 +26,7 @@ from .catalog import (
 )
 from .featexpr import ParseError, conj, minterm, print_fexp, witness
 from .minimize import lift, minimize
-from .relengine import model_configs, result_schema, run_configure, run_group
+from .relengine import model_configs, run_configure, run_group
 from .sqlgen import SqlError, SqlStatement, sql_of_plain, sql_union
 from .storage import (
     StorageError,
@@ -130,6 +130,14 @@ def _cmd_run(args) -> int:
 
 
 def _statements(q: VQuery, db: VDBInstance, mode: str) -> list[SqlStatement]:
+    """The SQL for `q`: one statement per model configuration, per variant
+    group, or (``union``) one union of the groups.
+
+    The union's column list is the query type's attribute names, in order.
+    Those are the names of `result_schema`, which `run` needs for its
+    attribute presence conditions; `sql` prints only the names, so it
+    builds no condition formulas.
+    """
     if mode == "per-variant":
         out = []
         for config in model_configs(db.schema):
@@ -139,7 +147,7 @@ def _statements(q: VQuery, db: VDBInstance, mode: str) -> list[SqlStatement]:
     group = group_query(q)
     if mode == "per-group":
         return [sql_of_plain(member, e) for member, e in group]
-    unified = result_schema(q, db.schema).attr_names()
+    unified = type_of(q, db.schema, check_conditions=False).names()
     members, columns = _member_columns(group, db)
     return [sql_union(members, unified, columns)]
 

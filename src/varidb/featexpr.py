@@ -14,16 +14,20 @@ bit m set iff the formula holds at minterm m (features are precomputed
 variable masks; And/Or/Not are `&`/`|`/complement).  Larger formulas go
 through a Tseitin transform and a small DPLL solver.  For formulas of at
 most 12 features `simplify` works on that table alone and memoizes its
-result per (features, table): it projects away the variables the function
-does not depend on, finds the prime implicants by cofactor masks (the
-table of the cubes with one more don't-care variable is the previous table
-ANDed with itself shifted), and covers the table with essential primes and
-then a greedy choice with deterministic tie-breaking, each prime's
-minterms being a table too.  The result is the minimal disjunctive normal
-form Quine-McCluskey gives with that cover rule (McCluskey 1956).  Beyond
-12 features it falls back to structural cleanup plus a constant-collapse
-check.  The canonical form is what lets two different pipelines print
-byte-identical annotations for equivalent conditions.
+result per (features, table).  It projects away the variables the function
+does not depend on and memoizes once more on that projected function, so
+grouping, typing and `simplify`, whose feature tuples differ, minimize a
+shared function once.  A projected function with one minterm is a single
+cube and prints as that minterm.  Otherwise the prime implicants come from
+cofactor masks (the table of the cubes with one more don't-care variable
+is the previous table ANDed with itself shifted), and the table is covered
+with essential primes and then a greedy choice with deterministic
+tie-breaking, each prime's minterms being a table too.  The result is the
+minimal disjunctive normal form Quine-McCluskey gives with that cover rule
+(McCluskey 1956); its terms share one `Feature` and one `Not` node per
+feature.  Beyond 12 features it falls back to structural cleanup plus a
+constant-collapse check.  The canonical form is what lets two different
+pipelines print byte-identical annotations for equivalent conditions.
 
 A `Universe` holds its conditions as truth tables over its features where
 it has at most 12, so that they print canonically straight from the table
@@ -511,17 +515,29 @@ def _canonical(names: tuple[str, ...], table: int) -> FeatExpr:
     """Minimal DNF of the function whose truth table over `names` is `table`.
 
     At most 12 names.  The table alone identifies the function, so it keys
-    the memo.
+    the memo; the minimal form itself is memoized once more on the
+    projected function, which other name tuples reach too.
     """
     if not table:
         return FALSE
     if table == (1 << (1 << len(names))) - 1:
         return TRUE
-    names, table = _drop_irrelevant(names, table)
+    return _minimal(*_drop_irrelevant(names, table))
+
+
+@lru_cache(maxsize=65536)
+def _minimal(names: tuple[str, ...], table: int) -> FeatExpr:
+    """Minimal DNF of a function that depends on every one of `names`.
+
+    Such a function is a single cube only if it is a single minterm, and
+    Quine-McCluskey returns that minterm as its one term.
+    """
+    if not table & (table - 1):
+        return _term(names, table.bit_length() - 1, 0)
     n = len(names)
     chosen = _pick_cover(_primes(table, n), table)
-    terms = sorted(_term_key(v, mask, n) for v, mask in chosen)
-    return or_all(_term_expr(key, names) for key in terms)
+    terms = sorted(chosen, key=lambda p: _term_key(p[0], p[1], n))
+    return or_all(_term(names, v, mask) for v, mask in terms)
 
 
 def _drop_irrelevant(names: tuple[str, ...], table: int) -> tuple[tuple[str, ...], int]:
@@ -616,11 +632,22 @@ def _term_key(v: int, mask: int, n: int) -> tuple:
     return (len(lits), lits)
 
 
-def _term_expr(key: tuple, names: list[str]) -> FeatExpr:
-    _, lits = key
-    return and_all(
-        Not(Feature(names[i])) if neg else Feature(names[i]) for i, neg in lits
-    )
+@lru_cache(maxsize=None)
+def _literals(name: str) -> tuple[FeatExpr, FeatExpr]:
+    """`Not(Feature(name))` and `Feature(name)`: one pair per feature name,
+    shared by every printed term."""
+    f = Feature(name)
+    return Not(f), f
+
+
+def _term(names: tuple[str, ...], v: int, mask: int) -> FeatExpr:
+    """The conjunction of the literals of cube (v, mask), in name order."""
+    out: FeatExpr | None = None
+    for i, name in enumerate(names):
+        if not mask >> i & 1:
+            lit = _literals(name)[v >> i & 1]
+            out = lit if out is None else And(out, lit)
+    return out
 
 
 def _simplify_structural(e: FeatExpr) -> FeatExpr:

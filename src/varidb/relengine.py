@@ -3,7 +3,8 @@
 ``eval_plain`` is a classical set-semantics evaluator over plain tables:
 selection filters, projection deduplicates, product concatenates
 disjointly-named columns, join is product plus filter, and the set
-operations require identical column lists.
+operations require identical column lists, which the column-less empty
+relation fits.
 
 On top of it sit the two ways of answering a variational query:
 
@@ -141,7 +142,9 @@ def _joined_columns(
 
 
 def _same_columns(a, b, what: str) -> None:
-    if a != b:
+    """Both operands of a set operation list the same columns, unless one
+    has no columns and no rows: the typeless empty relation fits any."""
+    if a.columns != b.columns and (a.columns or a.rows) and (b.columns or b.rows):
         raise PlainTypeError(f"{what} requires identical columns on both sides")
 
 
@@ -176,7 +179,7 @@ def eval_plain(q: VQuery, db: dict[str, PlainTable]) -> PlainTable:
     if isinstance(q, SetOp):
         a = eval_plain(q.left, db)
         b = eval_plain(q.right, db)
-        _same_columns(a.columns, b.columns, q.kind)
+        _same_columns(a, b, q.kind)
         rows = a.rows | b.rows if q.kind == "union" else a.rows - b.rows
         return PlainTable(a.columns if a.columns else b.columns, rows)
     if isinstance(q, Empty):
@@ -262,7 +265,7 @@ def eval_tracked(q: VQuery, db: dict[str, TrackedTable]) -> TrackedTable:
     if isinstance(q, SetOp):
         a = eval_tracked(q.left, db)
         b = eval_tracked(q.right, db)
-        _same_columns(a.columns, b.columns, q.kind)
+        _same_columns(a, b, q.kind)
         if q.kind == "union":
             rows = dict(a.rows)
             for r, pc in b.rows.items():

@@ -201,11 +201,14 @@ def build_vtable(
     Each plain row is annotated with its part's feature expression and padded
     with Null for schema attributes its table lacks; rows identical in all
     values merge by disjoining their conditions; unsatisfiable rows drop; all
-    conditions are canonically simplified; rows come out sorted by value.
+    conditions are canonically simplified; rows come out sorted by value.  A
+    part with no rows adds nothing, whatever its columns.
     """
     names = schema.attr_names()
     merged: dict[tuple, FeatExpr] = {}
     for table, fexp in parts:
+        if not table.rows:
+            continue
         cols = table.column_names()
         unknown = set(cols) - set(names)
         if unknown:

@@ -111,6 +111,22 @@ def test_parse_syntax_errors_carry_line():
         parse_schema("nonsense here\n")
 
 
+def test_parse_rejects_reserved_words_as_names():
+    # formulas read `true` and `false` as constants, conditions and queries
+    # read `CHC` as a choice: none of them can name a schema element
+    for word in ("true", "false", "CHC"):
+        for text, line in (
+            (f"features f1, {word}\n", 1),
+            (f"features f1\nrelation {word} (a int)\n", 2),
+            (f"features f1\n\nrelation r (a int,\n  {word} int # f1)\n", 3),
+        ):
+            with pytest.raises(CatalogError, match=f"line {line}: reserved word {word} "):
+                parse_schema(text)
+    # names that only start with them are ordinary
+    s = parse_schema("features trueish, CHC2\nrelation falsey (CHCa int # CHC2)\n")
+    assert s.relations["falsey"].attr_names() == ["CHCa"]
+
+
 # --- attr_presence ---
 
 

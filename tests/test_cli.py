@@ -197,13 +197,30 @@ def test_unreadable_query_file_exits_1(capsys, monkeypatch):
     assert "cannot read query file" in err
 
 
-def test_set_operation_that_evaluation_rejects_exits_1(capsys, monkeypatch):
-    # both operands are empty in every variant, so the type is `{} # false`,
-    # but the plain evaluators still compare their column lists
-    code, out, err = run_cli(["run", TOY], "union empty prod r empty", capsys, monkeypatch)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: union requires identical columns")
-    assert err.count("\n") == 1
+def test_set_operation_with_a_typeless_empty_operand_runs(capsys, monkeypatch):
+    # `empty` has no columns and `prod r empty` has r's and no rows; both are
+    # empty in every variant, so the type is `{} # false`, and a set
+    # operation takes the column-less empty relation as fitting any columns
+    for strategy in ("configure", "group"):
+        argv = ["run", TOY, "--strategy", strategy]
+        for text in ("union empty prod r empty", "diff empty prod r empty"):
+            assert run_cli(argv, text, capsys, monkeypatch) == (0, "presCond\n", ""), text
+        for text in ("union prod r empty empty", "diff prod r empty empty"):
+            assert run_cli(argv, text, capsys, monkeypatch) == (0, "a1,a2,a3,presCond\n", "")
+
+
+def test_reserved_words_in_a_schema_exit_1(tmp_path, capsys, monkeypatch):
+    # the query syntax reads `true`, `false` and `CHC` as keywords, so a
+    # schema may not use them as names
+    for text, line in (
+        ("features f1, true\n", 1),
+        ("features f1\nrelation false (a int)\n", 2),
+        ("features f1\nrelation r (a int, CHC int)\n", 2),
+    ):
+        (tmp_path / "schema.vschema").write_text(text)
+        code, out, err = run_cli(["run", str(tmp_path)], "r", capsys, monkeypatch)
+        assert (code, out) == (1, ""), text
+        assert err.startswith(f"error: line {line}: reserved word "), err
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ from varidb.featexpr import (
     parse_fexp_partial,
     print_fexp,
     _canonical,
+    _drop_irrelevant,
     _masks,
+    _minimal,
+    _pick_cover,
     _primes,
     sat,
     simplify,
@@ -375,6 +378,117 @@ def test_canonical_memo_keeps_its_cache_interface():
     info = _canonical.cache_info()
     assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 65536)
     assert a is b and a == A
+
+
+def _reference_canonical(names: tuple, table: int):
+    """The minimal DNF by the letter of the construction: project, take all
+    primes, cover, and order the terms by literal count and then literals."""
+    if not table:
+        return FALSE
+    if table == (1 << (1 << len(names))) - 1:
+        return TRUE
+    names, table = _drop_irrelevant(names, table)
+    n = len(names)
+    terms = sorted(
+        (
+            tuple((i, v >> i & 1 ^ 1) for i in range(n) if not mask >> i & 1)
+            for v, mask in _pick_cover(_primes(table, n), table)
+        ),
+        key=lambda lits: (len(lits), lits),
+    )
+    return or_all(
+        and_all(Not(Feature(names[i])) if neg else Feature(names[i]) for i, neg in lits)
+        for lits in terms
+    )
+
+
+def _shape(e) -> list:
+    """The tree in preorder, walked without recursion: dense functions over
+    12 features have minimal forms hundreds of terms deep."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(type(node).__name__)
+        if isinstance(node, (BoolLit, Feature)):
+            out.append(node.value if isinstance(node, BoolLit) else node.name)
+        elif isinstance(node, Not):
+            stack.append(node.operand)
+        else:
+            stack += [node.right, node.left]
+    return out
+
+
+def _widened(table: int, names: tuple, wider: tuple) -> int:
+    """`table` over `names` as a table over `wider`, a superset of them."""
+    pos = [wider.index(f) for f in names]
+    out = 0
+    for m in range(1 << len(wider)):
+        if table >> sum((m >> p & 1) << k for k, p in enumerate(pos)) & 1:
+            out |= 1 << m
+    return out
+
+
+def _kernel_functions(rng: random.Random):
+    """Seeded tables over 0..12 names: dense, sparse, single cubes and
+    unions of cubes, each given over the names it depends on."""
+    for n in range(13):
+        names = tuple(f"k{i:02d}" for i in range(n))
+        size = 1 << n
+        for shape in range(4):
+            if shape == 0:
+                table = rng.getrandbits(size)
+            elif shape == 1:
+                table = 0
+                for _ in range(rng.randint(1, 4)):
+                    table |= 1 << rng.randrange(size)
+            else:
+                table = 0
+                for _ in range(1 if shape == 2 else rng.randint(2, 5)):
+                    care = sum(1 << i for i in range(n) if rng.random() < 0.6)
+                    v = rng.getrandbits(n) & care
+                    table |= sum(1 << m for m in range(size) if m & care == v)
+            yield _drop_irrelevant(names, table)
+
+
+def test_canonical_equals_reference_over_support_and_supersets():
+    rng = random.Random(1956)
+    pads = ("A0", "m0", "z0", "k05a")
+    checked = 0
+    for names, table in _kernel_functions(rng):
+        expected = _shape(_reference_canonical(names, table))
+        assert _shape(_canonical(names, table)) == expected
+        for _ in range(2):
+            wider = list(names)
+            for pad in rng.sample(pads, min(len(pads), 12 - len(names), rng.randint(1, 3))):
+                wider.insert(rng.randint(0, len(wider)), pad)
+            wider = tuple(wider)
+            assert _shape(_canonical(wider, _widened(table, names, wider))) == expected, wider
+        checked += 1
+    assert checked == 52
+
+
+def test_function_under_two_name_tuples_is_minimized_once():
+    _canonical.cache_clear()
+    _minimal.cache_clear()
+    # a | !b over (a, b), then over (a, b, c) and (_, a, b): one function
+    first = from_table(["a", "b"], 0b1011)
+    assert first == Or(A, Not(B))
+    assert from_table(["a", "b", "c"], 0b10111011) is first
+    assert from_table(["_", "a", "b"], 0b11001111) is first
+    outer, inner = _canonical.cache_info(), _minimal.cache_info()
+    assert (outer.misses, outer.currsize) == (3, 3)
+    assert (inner.hits, inner.misses, inner.currsize) == (2, 1, 1)
+    # a single cube prints as its minterm over the support
+    assert print_fexp(from_table(["a", "b", "c"], 0b00100000)) == "a & !b & c"
+    assert _minimal.cache_info().misses == 2
+
+
+def test_printed_terms_share_their_literals():
+    x = simplify(parse_fexp("a & !b | !a & b"))
+    y = simplify(parse_fexp("!b & c"))
+    assert print_fexp(x) == "a & !b | !a & b"
+    assert x.left.right is y.left
+    assert x.left.left is x.right.left.operand
 
 
 # --- simplify ---

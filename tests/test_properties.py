@@ -8,6 +8,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varidb.catalog import AttrType, VAttr, VRelSchema, VSchema, parse_schema, print_schema
 from varidb.cli import main
 from varidb.featexpr import FALSE, TRUE, And, Feature, Not, Or, parse_fexp, print_fexp, sat
 from varidb.vra import (
@@ -130,6 +131,54 @@ queries = st.recursive(
 @given(queries)
 def test_query_print_parse_round_trip(q):
     assert parse_query(print_query(q)) == q
+
+
+#: Schema names: the schema file's own keywords and type names among them,
+#: and words that only start with a reserved one.
+_SCHEMA_NAMES = st.one_of(
+    st.sampled_from(
+        ["features", "featuremodel", "relation", "int", "text", "bool", "trueish", "CHCx"]
+    ),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
+        lambda w: w not in ("true", "false", "CHC")
+    ),
+)
+
+
+@st.composite
+def schemas(draw):
+    """Valid schemas: a condition that could never hold becomes `true`."""
+    features = draw(st.lists(_SCHEMA_NAMES, unique=True, max_size=5))
+    leaves = [st.just(TRUE), st.just(FALSE)]
+    if features:
+        leaves.append(st.builds(Feature, st.sampled_from(features)))
+    pcs = st.recursive(
+        st.one_of(*leaves),
+        lambda sub: st.one_of(
+            st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)
+        ),
+        max_leaves=5,
+    )
+
+    def holding(e, context):
+        return e if sat(And(e, context)) else TRUE
+
+    model = holding(draw(pcs), TRUE)
+    relations = {}
+    for name in draw(st.lists(_SCHEMA_NAMES, unique=True, max_size=3)):
+        pc = holding(draw(pcs), model)
+        attrs = tuple(
+            VAttr(a, draw(st.sampled_from(AttrType)), holding(draw(pcs), And(pc, model)))
+            for a in draw(st.lists(_SCHEMA_NAMES, unique=True, max_size=4))
+        )
+        relations[name] = VRelSchema(name, attrs, pc)
+    return VSchema(tuple(features), model, relations)
+
+
+@_SETTINGS
+@given(schemas())
+def test_schema_print_parse_round_trip(s):
+    assert parse_schema(print_schema(s)) == s
 
 
 #: Every subcommand that reads a query, with the options it needs.

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from genqueries import well_typed_corpus
+from varidb import cli
 from varidb.catalog import AttrType, CatalogError, VSchema, parse_schema
 from varidb.featexpr import (
     TRUE,
@@ -17,7 +19,10 @@ from varidb.featexpr import (
     print_fexp,
     taut,
 )
+from varidb.minimize import minimize
 from varidb.relengine import result_schema
+from varidb.storage import VDBInstance
+from varidb.translate import push_schema
 from varidb.typecheck import (
     PlainTypeError,
     QueryType,
@@ -621,3 +626,27 @@ def test_typing_paths_agree_on_padded_schemas():
             assert _golden_line(name, _padded(schema, n), text, strict) == expected
         checked += 1
     assert checked >= 80
+
+
+def test_sql_union_columns_are_the_result_schema_names(monkeypatch):
+    """`sql --mode union` takes its column list from the query type's names;
+    `run` assembles against `result_schema`.  The two agree name for name
+    and in order on the 200-query corpus and on the typing-golden trees of
+    the fixtures, each pushed and minimized as the command line does."""
+    cases = [(schema, minimize(q, schema.model)) for schema, q in well_typed_corpus(20260818, 200)]
+    for name, schema, text, _ in _golden_trees():
+        if name not in ("toy", "employee"):
+            continue
+        q = parse_query(text)
+        try:
+            type_of(q, schema)
+        except VTypeError:
+            continue
+        cases.append((schema, minimize(push_schema(q, schema), schema.model)))
+    unified = []
+    monkeypatch.setattr(cli, "sql_union", lambda members, names, columns: unified.append(names))
+    for schema, q in cases:
+        unified.clear()
+        cli._statements(q, VDBInstance(schema, {}), "union")
+        assert unified == [result_schema(q, schema).attr_names()]
+    assert len(cases) == 298
