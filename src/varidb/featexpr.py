@@ -749,6 +749,10 @@ class Universe:
         """The canonical form of `t` (above 12 features, `simplify`'s)."""
         return _canonical(self.names, t) if self.tables else simplify(t.e)
 
+    def expr(self, t: Table) -> FeatExpr:
+        """A formula of `t`: canonical up to 12 features, else as built."""
+        return _canonical(self.names, t) if self.tables else t.e
+
     def lowest(self, t: Table) -> int:
         """The least minterm of a satisfiable `t`: where enumerating the
         configurations in `all_configs` order first meets it."""

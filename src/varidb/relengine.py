@@ -15,7 +15,8 @@ On top of it sit the two ways of answering a variational query:
 * ``run_group`` evaluates each distinct plain query of the group
   translation once, against the database restricted to the group's
   feature expression, tracking per-row presence conditions through the
-  operators.
+  operators.  Its regions are `featexpr.Universe` conditions; formulas
+  are built only for the stamps of output rows.
 
 Both feed their annotated parts to the v-table builder, so they produce
 the same canonically sorted, canonically simplified v-table.
@@ -31,6 +32,8 @@ from .featexpr import (
     FeatExpr,
     Not,
     TRUE,
+    Table,
+    Universe,
     conj,
     disj,
     minterm,
@@ -200,28 +203,41 @@ class TrackedTable:
     rows: dict[tuple, FeatExpr]
 
 
-def _restrict_table(table: VTable, schema: VSchema, e: FeatExpr) -> TrackedTable:
-    """The slice of a stored v-table visible inside the region `e`.
+def _stored(db: VDBInstance, u: Universe) -> tuple[dict[str, tuple], dict[FeatExpr, Table]]:
+    """The `Universe` value of each column presence condition, and each
+    stored v-table as `run_group` restricts it: its columns with those
+    values, and its rows with their condition conjoined with the
+    relation's, as formula and as value."""
+    s = db.schema
+    pcs = {(r.name, a.name): attr_presence(s, r.name, a.name)
+           for r in s.relations.values() for a in r.attrs}
+    presence = {h: u.of(h) for h in pcs.values()}
+    stored = {
+        name: (
+            [((a.name, a.atype), presence[pcs[t.schema.name, a.name]]) for a in t.schema.attrs],
+            [(r.values, pc, u.of(pc)) for r in t.rows for pc in [conj(r.pc, t.schema.pc)]],
+        )
+        for name, t in db.tables.items()
+    }
+    return presence, stored
 
-    Columns survive when their full hierarchical presence condition can
-    hold together with `e`.  Rows carry their own condition conjoined
-    with the relation's, so a row contributes nothing in regions where
-    the whole relation is absent.
+
+def _restrict_table(table: tuple, region: Table) -> TrackedTable:
+    """The slice of a stored v-table visible inside `region`.
+
+    Columns survive where their presence condition meets the region, rows
+    where their condition, which includes the relation's, does: one AND of
+    `Universe` values each.  Rows carry their formula into `eval_tracked`.
     """
-    rel = table.schema
-    keep, columns = [], []
-    for i, a in enumerate(rel.attrs):
-        if sat(conj(attr_presence(schema, rel.name, a.name), e)):
-            keep.append(i)
-            columns.append((a.name, a.atype))
+    columns, stored_rows = table
+    keep = [i for i, (_, t) in enumerate(columns) if t & region]
     rows: dict[tuple, FeatExpr] = {}
-    for u in table.rows:
-        pc = conj(u.pc, rel.pc)
-        if not sat(conj(pc, e)):
+    for values, pc, t in stored_rows:
+        if not t & region:
             continue
-        values = tuple(u.values[i] for i in keep)
+        values = tuple(values[i] for i in keep)
         rows[values] = disj(rows[values], pc) if values in rows else pc
-    return TrackedTable(tuple(columns), rows)
+    return TrackedTable(tuple(columns[i][0] for i in keep), rows)
 
 
 def eval_tracked(q: VQuery, db: dict[str, TrackedTable]) -> TrackedTable:
@@ -291,12 +307,13 @@ def eval_tracked(q: VQuery, db: dict[str, TrackedTable]) -> TrackedTable:
 def result_schema(q: VQuery, schema: VSchema) -> VRelSchema:
     """The relation schema a query's results are assembled against.
 
-    A query whose annotation is unsatisfiable, such as ``empty``, answers
-    with no rows in every variant; a relation schema cannot carry a false
-    presence condition, so its result schema is present under ``true``.
+    A query whose annotation is unsatisfiable, such as ``empty`` or
+    ``prod r empty``, answers with no rows in every variant; a relation
+    schema cannot carry a false presence condition, so its result schema
+    has no attributes and is present under ``true``.
     """
     t = type_of(q, schema, check_conditions=False)
-    attrs = tuple(VAttr(name, t.info[name].atype, pc) for name, pc in t.attr_pcs.items())
+    attrs = tuple(VAttr(n, t.info[n].atype, t.attr_pcs[n]) for n in t.names())
     return VRelSchema("result", attrs, t.annotation if t.ann_table else TRUE)
 
 
@@ -384,61 +401,52 @@ def _condition_names(cond: VCondition) -> set[str]:
     return set()
 
 
-def _presence_atoms(q: VQuery, schema: VSchema, region: FeatExpr) -> list[FeatExpr]:
+def _presence_atoms(q: VQuery, schema: VSchema, region: Table, presence: dict) -> list[Table]:
     """Split a region until every relevant column presence is decided.
 
     A group's feature expression fixes which plain query runs, but not
     which columns the stored tables expose — an attribute can be
     present in one part of the region and absent in another, which
     would corrupt value-based merging.  Each returned sub-region
-    decides every presence condition the query can observe.
+    decides every presence condition the query can observe.  Regions are
+    split by the `Universe` values in `presence`, in formula print order.
     """
-    if not sat(region):
-        return []
     visible, compared = _column_presences(q, schema)
     live = set(visible.values()) | compared
-    regions = [region]
+    regions = [region] if region else []
     for h in sorted(live, key=print_fexp):
         if h == TRUE:
             continue
-        split = []
-        for reg in regions:
-            inside = conj(reg, h)
-            outside = conj(reg, Not(h))
-            if sat(inside):
-                split.append(inside)
-            if sat(outside):
-                split.append(outside)
-        regions = split
+        t = presence[h]
+        regions = [part for reg in regions for part in (reg & t, reg & ~t) if part]
     return regions
 
 
 def run_group(q: VQuery, db: VDBInstance, collect: list | None = None) -> VTable:
     """Answer a v-query by evaluating each distinct plain query once.
 
-    Each group is evaluated against the database restricted to the
-    group's region (refined so column presence is constant throughout);
-    row conditions are tracked through the operators and conjoined with
-    the region on the way out.  When `collect` is a list, it receives
-    one (label, plain query, TrackedTable) triple per evaluation.
+    Each group is evaluated against the database restricted to each of
+    its regions, `Universe` conditions on which column presence is
+    constant; row conditions are tracked through the operators and
+    conjoined with the region's formula (`Universe.expr`) on the way out.
+    When `collect` is a list, it receives one (label, plain query,
+    TrackedTable) triple per evaluation, labelled by the region's
+    formula: its canonical form up to 12 features.
     """
     schema = result_schema(q, db.schema)
-    model = db.schema.model
+    u = Universe(sorted(db.schema.features))
+    model = u.of(db.schema.model)
+    presence, stored = _stored(db, u)
     parts = []
     for plain_query, e in group_query(q):
-        if not sat(conj(e, model)):
-            continue
-        for region in _presence_atoms(plain_query, db.schema, conj(e, model)):
-            restricted = {
-                name: _restrict_table(table, db.schema, region)
-                for name, table in db.tables.items()
-            }
+        for region in _presence_atoms(plain_query, db.schema, u.of(e) & model, presence):
+            restricted = {name: _restrict_table(t, region) for name, t in stored.items()}
             out = eval_tracked(plain_query, restricted)
+            stamp = u.expr(region)
             if collect is not None:
-                collect.append((print_fexp(region), plain_query, out))
+                collect.append((print_fexp(stamp), plain_query, out))
             for values, tracked in out.rows.items():
-                pc = conj(region, tracked)
-                if not sat(pc):
-                    continue
-                parts.append((PlainTable(out.columns, frozenset({values})), pc))
+                if region & u.of(tracked):
+                    row = PlainTable(out.columns, frozenset({values}))
+                    parts.append((row, conj(stamp, tracked)))
     return build_vtable(parts, schema)

@@ -176,7 +176,8 @@ class QueryType:
         return print_vset(VSet(self.attrs.elements, self.annotation))
 
     def names(self) -> list[str]:
-        return list(self.attr_tables)
+        """The result attributes: none under a false annotation."""
+        return list(self.attr_tables) if self.ann_table else []
 
 
 def _vset(pcs: dict[str, FeatExpr]) -> VSet:
@@ -367,7 +368,7 @@ class _Typing:
                     path,
                     f"operand types {t1.render()} and {t2.render()} are not equivalent",
                 )
-            for name in t1.names():
+            for name in t1.attr_tables:
                 inf = t2.info.get(name)
                 if inf is not None and t1.info[name].atype != inf.atype:
                     raise VTypeError(

@@ -203,10 +203,49 @@ def test_set_operation_with_a_typeless_empty_operand_runs(capsys, monkeypatch):
     # operation takes the column-less empty relation as fitting any columns
     for strategy in ("configure", "group"):
         argv = ["run", TOY, "--strategy", strategy]
-        for text in ("union empty prod r empty", "diff empty prod r empty"):
+        for text in (
+            "union empty prod r empty",
+            "diff empty prod r empty",
+            "union prod r empty empty",
+            "diff prod r empty empty",
+        ):
             assert run_cli(argv, text, capsys, monkeypatch) == (0, "presCond\n", ""), text
-        for text in ("union prod r empty empty", "diff prod r empty empty"):
-            assert run_cli(argv, text, capsys, monkeypatch) == (0, "a1,a2,a3,presCond\n", "")
+
+
+#: `{} # false` queries whose operands have columns: r's columns exist in
+#: no variant of the result, so they are not result attributes.
+FALSE_TYPED_WITH_COLUMNS = {
+    "prod r empty": "r, (SELECT * FROM (SELECT 1 AS one) AS d0 WHERE 1 = 0) AS d1",
+    "union prod r empty empty": (
+        "(SELECT * FROM r, (SELECT * FROM (SELECT 1 AS one) AS d0 WHERE 1 = 0) AS d1"
+        " UNION SELECT * FROM (SELECT 1 AS one) AS d2 WHERE 1 = 0) AS d3"
+    ),
+}
+
+
+def test_false_typed_queries_with_columns_have_no_result_attributes(capsys, monkeypatch):
+    # check, both run strategies and sql agree on the type `{} # false`
+    for text, source in FALSE_TYPED_WITH_COLUMNS.items():
+        assert run_cli(["check", TOY], text, capsys, monkeypatch) == (0, "OK: {} # false\n", "")
+        for strategy in ("configure", "group"):
+            argv = ["run", TOY, "--strategy", strategy]
+            assert run_cli(argv, text, capsys, monkeypatch) == (0, "presCond\n", ""), text
+        code, out, err = run_cli(["sql", TOY], text, capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        assert out == (
+            "-- provenance: true\n"
+            f"SELECT DISTINCT 'true' AS presCond FROM {source}\n"
+            ";\n"
+        )
+        blocks, _ = _statement_blocks(out)
+        assert check_sql(blocks[0]) == [1]
+    # the product runs; the union's operands differ in column count
+    # (r × empty against empty), which SQL engines reject
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE r (a1 INTEGER, a2 INTEGER, a3 INTEGER)")
+    conn.execute("INSERT INTO r VALUES (1, 10, 100)")
+    source = FALSE_TYPED_WITH_COLUMNS["prod r empty"]
+    assert conn.execute(f"SELECT DISTINCT 'true' AS presCond FROM {source}").fetchall() == []
 
 
 def test_reserved_words_in_a_schema_exit_1(tmp_path, capsys, monkeypatch):
