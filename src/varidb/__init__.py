@@ -2,10 +2,11 @@
 
 Many relational database variants stored as one feature-annotated database,
 queried through a statically checked variational relational algebra.  The
-pipeline: parse a query (`vra`), type check it against the v-schema
-(`typecheck`), push the schema's presence conditions onto it (`translate`),
-shrink its variation (`minimize`), answer it per configuration or per
-variant group (`relengine`), or print it as SQL (`sqlgen`).
+pipeline: parse a query (`vra`), type check it against the v-schema and
+push the schema's presence conditions onto it (`typecheck`, one walk for
+both), shrink its variation (`minimize`), answer it per configuration or
+per variant group (`relengine`, which configures and groups queries with
+`translate`), or print it as SQL (`sqlgen`).
 """
 
 from .catalog import (
@@ -70,7 +71,6 @@ from .translate import (
     configure_query,
     group_generic,
     group_query,
-    push_schema,
 )
 from .typecheck import (
     PlainTypeError,
@@ -78,6 +78,7 @@ from .typecheck import (
     VTypeError,
     check_variation_preservation,
     plain_type,
+    push_schema,
     type_of,
 )
 from .vra import parse_query, print_query

@@ -36,8 +36,8 @@ from .storage import (
     print_plain_table,
     print_vtable,
 )
-from .translate import configure_query, group_query, push_schema
-from .typecheck import PlainTypeError, VTypeError, plain_type, type_of
+from .translate import configure_query, group_query
+from .typecheck import PlainTypeError, VTypeError, plain_type, push_schema, type_of
 from .vra import VQuery, parse_query, print_query
 
 
@@ -106,9 +106,7 @@ def _cmd_group(args) -> int:
 
 def _cmd_minimize(args) -> int:
     db = load_vdb(args.vdb)
-    q = parse_query(_read_query_text(args.query))
-    type_of(q, db.schema)
-    q = push_schema(q, db.schema)
+    q = _prepare(db, _read_query_text(args.query), no_minimize=True)
     trace: list[str] = []
     if args.lift:
         q = lift(q, db.schema.model, trace)
@@ -289,8 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -155,25 +155,6 @@ def sql_of_plain(q: VQuery, provenance: FeatExpr = TRUE) -> SqlStatement:
 # ---------------------------------------------------------------------------
 
 
-def output_columns(q: VQuery) -> list[str] | None:
-    """The column names a plain query produces, when its shape determines
-    them; None for a bare relation, whose columns live in the schema."""
-    if isinstance(q, Project):
-        return [str(el.value) for el in q.attrs.elements]
-    if isinstance(q, Select):
-        return output_columns(q.sub)
-    if isinstance(q, SetOp):
-        return output_columns(q.left)
-    if isinstance(q, (Join, Product)):
-        left, right = output_columns(q.left), output_columns(q.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(q, Empty):
-        return []
-    return None
-
-
 def _member_source(q: VQuery, aliases: _Aliases) -> tuple[str, str | None]:
     """FROM text and optional WHERE text for one union member."""
     if isinstance(q, Relation):
@@ -191,32 +172,17 @@ def _member_source(q: VQuery, aliases: _Aliases) -> tuple[str, str | None]:
     return _from_part(q, aliases), None
 
 
-def sql_union(
-    group,
-    unified,
-    member_columns=None,
-) -> SqlStatement:
+def sql_union(group, unified, member_columns) -> SqlStatement:
     """The single unified statement over all group members.
 
     `group` is a list of (plain query, feature expression) pairs; `unified`
     is the shared output attribute list, in order.  `member_columns` gives
-    each member's own output names; left out, they are derived from the
-    member's shape where possible.
+    each member's own output names, aligned with `group`.
     """
     members = list(group)
     if not members:
         raise EmptyGroup("no group members to unify")
     unified = list(unified)
-    if member_columns is None:
-        member_columns = []
-        for q, _ in members:
-            cols = output_columns(q)
-            if cols is None:
-                raise SqlError(
-                    "cannot derive output columns for a bare relation member; "
-                    "pass member_columns"
-                )
-            member_columns.append(cols)
     if len(member_columns) != len(members):
         raise SqlError("member_columns must align with the group")
 

@@ -324,7 +324,9 @@ def _parse_cell(text: str, quoted: bool, atype: AttrType, where: str) -> Value:
 
 
 def parse_vtable(text: str, schema: VRelSchema, where: str = "table") -> VTable:
-    lines = text.splitlines()
+    # records end at "\n" (or "\r\n") only: quoted text may hold the other
+    # characters `str.splitlines` breaks at
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
     if not lines or not lines[0].strip():
         return VTable(schema, ())
     expected = schema.attr_names() + ["presCond"]
@@ -368,21 +370,28 @@ def load_vdb(path: Path | str) -> VDBInstance:
     schema_file = root / "schema.vschema"
     if not schema_file.exists():
         raise StorageError(f"no schema.vschema in {root}")
-    schema = parse_schema(schema_file.read_text())
+    schema = parse_schema(_read_text(schema_file))
     tables = {}
     for rel in schema.relations.values():
         data = root / f"{rel.name}.csv"
         if not data.exists():
             raise StorageError(f"missing data file {data.name} in {root}")
-        table = parse_vtable(data.read_text(), rel, where=data.name)
+        table = parse_vtable(_read_text(data), rel, where=data.name)
         validate_vtable(table, schema.model)
         tables[rel.name] = table
     return VDBInstance(schema, tables)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"{path.name} is not UTF-8 text: {exc}") from None
+
+
 def save_vdb(db: VDBInstance, path: Path | str) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    (root / "schema.vschema").write_text(print_schema(db.schema))
+    (root / "schema.vschema").write_text(print_schema(db.schema), encoding="utf-8")
     for name, table in db.tables.items():
-        (root / f"{name}.csv").write_text(print_vtable(table))
+        (root / f"{name}.csv").write_text(print_vtable(table), encoding="utf-8")

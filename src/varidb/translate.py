@@ -1,6 +1,6 @@
-"""From variational queries to plain ones: configure, group, schema push.
+"""From variational queries to plain ones: configure and group.
 
-Three bridges between the variational and plain worlds:
+Two bridges between the variational and plain worlds:
 
 * `configure_query` resolves every choice and conditional projection item
   under one configuration, leaving an ordinary relational query.
@@ -12,31 +12,25 @@ Three bridges between the variational and plain worlds:
   `group_generic` is the brute-force restatement (configure under every
   configuration, bucket identical results, at most 20 features) used as an
   oracle.
-* `push_schema` conjoins schema presence conditions into the query's
-  projection items, so that the query's own annotations carry everything
-  the schema knows — the form the type system's preservation property
-  wants.
+
+`push_schema`, which conjoins schema presence conditions into the query's
+projection items, is importable from here too; it is the typing walk, so
+it lives in `typecheck`.
 """
 
 from __future__ import annotations
 
-from .catalog import VSchema
 from .featexpr import (
     TRUE,
-    And,
     Configuration,
     FeatExpr,
-    Not,
     Table,
     Universe,
     all_configs,
-    conj,
     eval_fexp,
     from_table,
-    sat,
-    simplify,
 )
-from .typecheck import type_of
+from .typecheck import push_schema  # re-exported
 from .vra import (
     Choice,
     CompareAttrAttr,
@@ -264,60 +258,3 @@ def group_generic(x, features=None):
         (plain, from_table(names, int.from_bytes(bits, "little")))
         for plain, bits in buckets.values()
     ]
-
-
-# ---------------------------------------------------------------------------
-# Schema push
-# ---------------------------------------------------------------------------
-
-
-def push_schema(q: VQuery, schema: VSchema, ctx: FeatExpr | None = None) -> VQuery:
-    """Conjoin schema presence conditions into every projection item.
-
-    Each projected item's condition becomes
-    ``simplify(item_pc ∧ attr_pc ∧ subquery_annotation)``, where attr_pc and
-    the annotation come from typing the (already pushed) subquery.  Choice
-    branches are pushed under the refined context; a branch whose refined
-    context is unsatisfiable is left untouched.  The query must type against
-    the schema.  Pushing is idempotent up to feature-expression equivalence.
-    """
-    if ctx is None:
-        ctx = schema.model
-    if isinstance(q, (Relation, Empty)):
-        return q
-    if isinstance(q, Select):
-        return Select(q.cond, push_schema(q.sub, schema, ctx))
-    if isinstance(q, Project):
-        sub = push_schema(q.sub, schema, ctx)
-        t = type_of(sub, schema, ctx, check_conditions=False)
-        pushed_items = []
-        for el in q.attrs:
-            name = str(el.value)
-            bare = name.split(".", 1)[1] if "." in name else name
-            pc_attr = t.attr_pcs.get(bare)
-            if pc_attr is None:
-                raise ValueError(
-                    f"cannot push schema onto ill-typed query: projected "
-                    f"attribute {name} is not produced by the subquery"
-                )
-            presence = conj(pc_attr, t.annotation)
-            pc = simplify(conj(el.pc, presence))
-            if sat(pc):  # items that can never materialize are dropped
-                pushed_items.append(VElem(el.value, pc))
-        return Project(VSet(tuple(pushed_items)), sub)
-    if isinstance(q, Choice):
-        lctx, rctx = And(ctx, q.dim), And(ctx, Not(q.dim))
-        left = push_schema(q.left, schema, lctx) if sat(lctx) else q.left
-        right = push_schema(q.right, schema, rctx) if sat(rctx) else q.right
-        return Choice(q.dim, left, right)
-    if isinstance(q, Join):
-        return Join(
-            q.cond, push_schema(q.left, schema, ctx), push_schema(q.right, schema, ctx)
-        )
-    if isinstance(q, Product):
-        return Product(push_schema(q.left, schema, ctx), push_schema(q.right, schema, ctx))
-    if isinstance(q, SetOp):
-        return SetOp(
-            q.kind, push_schema(q.left, schema, ctx), push_schema(q.right, schema, ctx)
-        )
-    raise TypeError(f"not a query: {q!r}")

@@ -42,6 +42,12 @@ annotation is structural, and a pushed attribute condition is
 ``simplify(pc ∧ annotation)``, read off the table where the universe has at
 most 12 features.
 
+The same walk pushes the schema into a query (`push_schema`): it rebuilds
+each node from its children's pushed forms, conditions unchecked, and gives
+each projected item the presence of its attribute and the annotation of
+the pushed subquery, read off the subquery's type.  So the push refines
+contexts and skips dead branches exactly as typing does.
+
 The companion plain rules (`plain_type`) type configured queries against a
 configured schema, and `check_variation_preservation` confirms the two sides
 commute configuration by configuration.
@@ -49,6 +55,7 @@ commute configuration by configuration.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from operator import or_
 from typing import Callable, NamedTuple
@@ -68,6 +75,7 @@ from .featexpr import (
     disj,
     features_of,
     print_fexp,
+    sat,
     simplify,
     solutions,
 )
@@ -230,6 +238,27 @@ def type_of(
     declared by the schema, as configurations range over declared features
     only.
     """
+    return _walk(q, schema, ctx, strict=strict_context, conds=check_conditions)[0]
+
+
+def push_schema(q: VQuery, schema: VSchema, ctx: FeatExpr | None = None) -> VQuery:
+    """Conjoin schema presence conditions into every projection item.
+
+    Each projected item's condition becomes
+    ``simplify(item_pc ∧ attr_pc ∧ subquery_annotation)``, where attr_pc and
+    the annotation come from the type of the already pushed subquery, and
+    items whose condition is unsatisfiable are dropped.  The walk is the
+    typing walk with conditions unchecked, so choice branches are pushed
+    under their refined contexts and a dead branch is left untouched.
+    Raises VTypeError when the query does not type against the schema.
+    Pushing is idempotent up to feature-expression equivalence.
+    """
+    return _walk(q, schema, ctx, strict=False, conds=False, push=True)[1]
+
+
+def _walk(
+    q: VQuery, schema: VSchema, ctx: FeatExpr | None, *, strict: bool, conds: bool, push=False
+) -> tuple[QueryType, VQuery]:
     undeclared = free_features(q) - frozenset(schema.features)
     if undeclared:
         raise VTypeError(
@@ -245,20 +274,25 @@ def type_of(
         raise VTypeError(
             "UnsatContext", "query", f"variation context {print_fexp(ctx)} is unsatisfiable"
         )
-    return _Typing(u, strict_context, schema, check_conditions).query(q, ctx, ct, "query")
+    return _Typing(u, strict, schema, conds, push).query(q, ctx, ct, "query")
 
 
 class _Typing:
     """The rules, for one universe, strictness and schema.
 
     A context travels as its formula, for annotations and messages, and its
-    table, for decisions.
+    table, for decisions.  `query` returns the type of a query together with
+    the query itself or, when pushing, the query with the schema pushed into
+    its projections; pushing types the pushed query, so each projection's
+    items are read off the type of its pushed subquery.
     """
 
-    def __init__(self, u: Universe, strict: bool, schema: VSchema | None = None, conds=True):
-        self.u, self.strict, self.schema, self.conds = u, strict, schema, conds
+    def __init__(
+        self, u: Universe, strict: bool, schema: VSchema | None = None, conds=True, push=False
+    ):
+        self.u, self.strict, self.schema, self.conds, self.push = u, strict, schema, conds, push
 
-    def query(self, q: VQuery, ctx: FeatExpr, ct: Table, path: str) -> QueryType:
+    def query(self, q: VQuery, ctx: FeatExpr, ct: Table, path: str) -> tuple[QueryType, VQuery]:
         u = self.u
         if isinstance(q, Relation):
             rel = self.schema.relations.get(q.name)
@@ -282,32 +316,35 @@ class _Typing:
                 info,
                 u,
                 lambda: ({a.name: a.pc for a in rel.attrs}, conj(ctx, rel.pc)),
-            )
+            ), q
 
         if isinstance(q, Empty):
-            return _empty_type(u)
+            return _empty_type(u), q
 
         if isinstance(q, Select):
-            sub = self.query(q.sub, ctx, ct, path + ".sub")
+            sub, pushed = self.query(q.sub, ctx, ct, path + ".sub")
             if self.conds:
                 self.cond(q.cond, ctx, ct, sub, path + ".cond")
-            return sub
+            return sub, _with(q, sub=pushed)
 
         if isinstance(q, Project):
-            return self._project(q, ctx, ct, path)
+            sub, pushed = self.query(q.sub, ctx, ct, path + ".sub")
+            if self.push:
+                q = Project(_pushed_items(q.attrs, sub, path), pushed)
+            return self._project(q, sub, ctx, ct, path), q
 
         if isinstance(q, Choice):
             dt = u.of(q.dim)
             lctx, lt = And(ctx, q.dim), ct & dt
             rctx, rt = And(ctx, Not(q.dim)), ct & ~dt
             if self.strict or lt:
-                t1 = self.query(q.left, lctx, lt, path + ".left")
+                t1, left = self.query(q.left, lctx, lt, path + ".left")
             else:
-                t1 = _empty_type(u)
+                t1, left = _empty_type(u), q.left
             if self.strict or rt:
-                t2 = self.query(q.right, rctx, rt, path + ".right")
+                t2, right = self.query(q.right, rctx, rt, path + ".right")
             else:
-                t2 = _empty_type(u)
+                t2, right = _empty_type(u), q.right
             tables = _combine([*t1.pushed.items(), *t2.pushed.items()], or_)
             info = dict(t1.info)
             for name, inf in t2.info.items():
@@ -332,11 +369,11 @@ class _Typing:
                     _combine([*t1.pushed_pcs.items(), *t2.pushed_pcs.items()], disj),
                     disj(t1.annotation, t2.annotation),
                 ),
-            )
+            ), _with(q, left=left, right=right)
 
         if isinstance(q, (Product, Join)):
-            t1 = self.query(q.left, ctx, ct, path + ".left")
-            t2 = self.query(q.right, ctx, ct, path + ".right")
+            t1, left = self.query(q.left, ctx, ct, path + ".left")
+            t2, right = self.query(q.right, ctx, ct, path + ".right")
             shared = t1.attr_tables.keys() & t2.attr_tables.keys()
             if shared:
                 raise VTypeError(
@@ -356,11 +393,11 @@ class _Typing:
             )
             if isinstance(q, Join) and self.conds:
                 self.cond(q.cond, ctx, ct, result, path + ".cond")
-            return result
+            return result, _with(q, left=left, right=right)
 
         if isinstance(q, SetOp):
-            t1 = self.query(q.left, ctx, ct, path + ".left")
-            t2 = self.query(q.right, ctx, ct, path + ".right")
+            t1, left = self.query(q.left, ctx, ct, path + ".left")
+            t2, right = self.query(q.right, ctx, ct, path + ".right")
             p1, p2 = t1.pushed, t2.pushed
             if p1.keys() != p2.keys() or any(p1[name] != p2[name] for name in p1):
                 raise VTypeError(
@@ -383,12 +420,13 @@ class _Typing:
                 dict(t1.info),
                 u,
                 lambda: (t1.attr_pcs, t1.annotation),
-            )
+            ), _with(q, left=left, right=right)
 
         raise TypeError(f"not a query: {q!r}")
 
-    def _project(self, q: Project, ctx: FeatExpr, ct: Table, path: str) -> QueryType:
-        sub = self.query(q.sub, ctx, ct, path + ".sub")
+    def _project(
+        self, q: Project, sub: QueryType, ctx: FeatExpr, ct: Table, path: str
+    ) -> QueryType:
         items = [(_resolve_name(str(el.value), sub, path), el.pc) for el in q.attrs]
         projected = _combine([(name, self.u.of(pc)) for name, pc in items], or_)
         for name, t in projected.items():
@@ -483,6 +521,26 @@ class _Typing:
                 f"{ref.text()} does not imply the variation context {print_fexp(ctx)}",
             )
         return inf.atype
+
+
+def _with(q: VQuery, **parts: VQuery) -> VQuery:
+    """`q` with the given subqueries, rebuilt only when one of them differs."""
+    if all(getattr(q, field) is part for field, part in parts.items()):
+        return q
+    return replace(q, **parts)
+
+
+def _pushed_items(attrs: VSet, sub: QueryType, path: str) -> VSet:
+    """Projected items under ``simplify(pc ∧ attr_pc ∧ annotation)`` of the
+    subquery type, the unsatisfiable ones dropped."""
+    pcs, annotation = sub.attr_pcs, sub.annotation
+    items = []
+    for el in attrs:
+        name = _resolve_name(str(el.value), sub, path)
+        pc = simplify(conj(el.pc, conj(pcs[name], annotation)))
+        if sat(pc):
+            items.append(VElem(el.value, pc))
+    return VSet(tuple(items))
 
 
 def _resolve_name(ref: str, t: QueryType, path: str) -> str:

@@ -366,6 +366,6 @@ def test_criterion_8_sql_goldens():
 
     group = group_query(Q5)
     unified = [str(el.value) for el in type_of(Q5, TOY).attrs.elements]
-    st = sql_union(group, unified)
+    st = sql_union(group, unified, [[str(el.value) for el in q.attrs] for q, _ in group])
     assert st.text + "\n" == golden("q5_union.sql")
     assert check_sql(st.text) == [len(unified) + 1] * len(group)

@@ -1,9 +1,12 @@
 """The command-line surface: pipelines, exit codes, output formats."""
 
+import argparse
 import io
 import sqlite3
+import sys
 from pathlib import Path
 
+from varidb import typecheck
 from varidb.cli import main
 from varidb.featexpr import And, eval_fexp, parse_fexp, print_fexp, sat, solutions
 from varidb.minimize import minimize
@@ -369,6 +372,54 @@ def test_run_minimized_and_unminimized_agree(capsys, monkeypatch):
             outputs.append(out)
     assert len(set(outputs)) == 1
     assert outputs[0].startswith("empno,name,firstname,lastname,presCond\n")
+
+
+#: A depth-3 choice tree with a projection at every leaf.
+DEPTH3_TEXT = (
+    "choice V4 { choice edu { choice T4 { proj [empno, std] empacct } "
+    "{ proj [title] empacct } } { choice V5 { proj [salary] empacct } "
+    "{ proj [empno, title] empacct } } } { choice edu { choice T5 "
+    "{ proj [instr # T5, empno] empacct } { proj [std] empacct } } "
+    "{ choice T4 { proj [deptno] empacct } { proj [hiredate] empacct } } }"
+)
+
+
+def test_run_types_each_query_a_bounded_number_of_times(capsys, monkeypatch):
+    # the raw query for checking, the minimized one for the result header,
+    # and no typing per projection
+    calls = []
+    original = typecheck.type_of
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("varidb"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, out, err = run_cli(
+        ["run", EMPLOYEE, "--strategy", "group"], DEPTH3_TEXT, capsys, monkeypatch
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("empno,std,title,salary,instr,deptno,hiredate,presCond\n")
+    assert 1 <= len(calls) <= 3
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run_cli(["variants", TOY], "", capsys, monkeypatch)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["variants", TOY], ["check", TOY], ["run", TOY, "--strategy", "group"]):
+        assert run_cli(argv, Q5_TEXT, capsys, monkeypatch)[0] == 0
+    assert built == []
 
 
 #: Queries that type as `{} # false`: they exist in no variant.

@@ -32,7 +32,7 @@ from varidb.typecheck import (
     type_cond,
     type_of,
 )
-from varidb.vra import parse_cond, parse_query
+from varidb.vra import parse_cond, parse_query, print_query
 from varidb.vset import VSet, print_vset, push_annotation, vset_equiv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -626,6 +626,40 @@ def test_typing_paths_agree_on_padded_schemas():
             assert _golden_line(name, _padded(schema, n), text, strict) == expected
         checked += 1
     assert checked >= 80
+
+
+def _push_lines():
+    """Schema, feature count and `print_query(push_schema(q, s))`, or `-`
+    where the tree does not type, TAB-separated, for every typing-golden
+    tree on its schema and padded to 13 and 17 features."""
+    for name, schema, text, _ in _golden_trees():
+        q = parse_query(text)
+        for s in (schema, _padded(schema, 13), _padded(schema, 17)):
+            try:
+                type_of(q, s)
+            except VTypeError:
+                pushed = "-"
+            else:
+                pushed = print_query(push_schema(q, s))
+            yield "\t".join((name, str(len(s.features)), pushed))
+
+
+def test_push_matches_golden_corpus():
+    """Pushed queries are pinned byte for byte on both sides of the width
+    limits.  The fixture holds `_push_lines()`, one per line, written with
+    the `src` of commit dbdb8a8 (whose push was a walk of its own that typed
+    every projection's pushed subquery again) first on PYTHONPATH."""
+    lines = (FIXTURES / "push_golden.txt").read_text().splitlines()
+    assert list(_push_lines()) == lines
+    assert len(lines) == 960
+    assert sum(not line.endswith("\t-") for line in lines) >= 600
+
+
+def test_push_raises_on_queries_that_do_not_type():
+    toy = _GOLDEN_SCHEMAS[0][1]
+    for text in ("proj [s.a1] r", "proj [a1] zz", "choice f1 { r } { proj [zz] r }"):
+        with pytest.raises(VTypeError):
+            push_schema(parse_query(text), toy)
 
 
 def test_sql_union_columns_are_the_result_schema_names(monkeypatch):
