@@ -8,37 +8,37 @@ decision procedures (`sat`, `taut`, `equiv`, `implies`), a canonicalizing
 presence algebra (`Universe`) in which typing and grouping combine and
 decide conditions.
 
-Solving strategy: a formula mentioning at most 16 features is decided from
-its truth table, computed in one walk of the formula as a Python int with
-bit m set iff the formula holds at minterm m (features are precomputed
-variable masks; And/Or/Not are `&`/`|`/complement).  Larger formulas go
-through a Tseitin transform and a small DPLL solver.  For formulas of at
-most 12 features `simplify` works on that table alone and memoizes its
-result per (features, table).  It projects away the variables the function
-does not depend on and memoizes once more on that projected function, so
-grouping, typing and `simplify`, whose feature tuples differ, minimize a
-shared function once.  A projected function with one minterm is a single
-cube and prints as that minterm.  Otherwise the prime implicants come from
-cofactor masks (the table of the cubes with one more don't-care variable
-is the previous table ANDed with itself shifted), and the table is covered
-with essential primes and then a greedy choice with deterministic
-tie-breaking, each prime's minterms being a table too.  The result is the
-minimal disjunctive normal form Quine-McCluskey gives with that cover rule
-(McCluskey 1956); its terms share one `Feature` and one `Not` node per
-feature.  Beyond 12 features it falls back to structural cleanup plus a
-constant-collapse check.  The canonical form is what lets two different
+Solving strategy: every decision goes through a `Universe` over the
+formula's own features.  Up to 12 features a condition is its truth table,
+computed in one walk of the formula as a Python int with bit m set iff the
+formula holds at minterm m (features are precomputed variable masks;
+And/Or/Not are `&`/`|`/complement).  Above 12 it is a node of a reduced
+ordered binary decision diagram (Bryant 1986) built by a memoized
+if-then-else, so satisfiability and equivalence are node tests at every
+width.  `simplify` prints a function canonically from its table.  It
+projects away the variables the function does not depend on and memoizes
+once more on that projected function, so grouping, typing and `simplify`,
+whose feature tuples differ, minimize a shared function once.  A projected
+function with one minterm is a single cube and prints as that minterm.
+Otherwise the prime implicants come from cofactor masks (the table of the
+cubes with one more don't-care variable is the previous table ANDed with
+itself shifted), and the table is covered with essential primes and then a
+greedy choice with deterministic tie-breaking, each prime's minterms being
+a table too.  The result is the minimal disjunctive normal form
+Quine-McCluskey gives with that cover rule (McCluskey 1956); its terms
+share one `Feature` and one `Not` node per feature.  A diagram whose
+function depends on at most 12 features prints the same way, from the
+table read off the diagram; a wider one prints as its irredundant sum of
+products (Minato 1992).  The canonical form is what lets two different
 pipelines print byte-identical annotations for equivalent conditions.
 
-A `Universe` holds its conditions as truth tables over its features where
-it has at most 12, so that they print canonically straight from the table
-through the same memo, and as formulas decided by `sat` above that.  The
-same tables enumerate a formula's satisfying configurations (`solutions`,
-`witness`) without evaluating the formula once per configuration.
+The same tables enumerate a formula's satisfying configurations
+(`solutions`) without evaluating the formula once per configuration, and
+`witness` is the least minterm of the formula's `Universe` value.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -287,7 +287,7 @@ def _render(e: FeatExpr, need: int) -> str:
 # Decision procedures
 # ---------------------------------------------------------------------------
 
-_ENUM_LIMIT = 16  # below this, truth tables beat the DPLL setup cost
+_TABLE_LIMIT = 12  # the widest `Universe` whose conditions are truth tables
 
 
 def _var_mask(k: int, n: int) -> int:
@@ -301,7 +301,7 @@ def _var_mask(k: int, n: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=_ENUM_LIMIT + 1)
+@lru_cache(maxsize=_TABLE_LIMIT + 1)
 def _masks(n: int) -> tuple[int, ...]:
     """The variable masks of `_var_mask` for every k < n."""
     return tuple(_var_mask(k, n) for k in range(n))
@@ -336,14 +336,6 @@ def _truth_table(e: FeatExpr, leaves: dict[str, int], n: int) -> int:
     return walk(e)
 
 
-def _table_over(e: FeatExpr, names: list[str]) -> int:
-    """The truth table of `e` with bit k of a minterm standing for `names[k]`.
-
-    Bit order is that of `all_configs` over sorted `names` (at most 16).
-    """
-    return _truth_table(e, dict(zip(names, _masks(len(names)))), len(names))
-
-
 def _bits(t: int) -> Iterator[int]:
     """The positions of the set bits of `t`, ascending."""
     s = bin(t)[:1:-1]
@@ -360,20 +352,17 @@ def _config(names: list[str], m: int) -> Configuration:
 @lru_cache(maxsize=65536)
 def sat(e: FeatExpr) -> bool:
     """Is the formula satisfiable by some configuration of its own features?"""
-    names = sorted(features_of(e))
-    if len(names) <= _ENUM_LIMIT:
-        return _table_over(e, names) != 0
-    return _dpll(_tseitin(e))
+    return bool(Universe(sorted(features_of(e))).of(e))
 
 
 def solutions(e: FeatExpr, universe: Iterable[str]) -> list[Configuration]:
     """`[c for c in all_configs(universe) if eval_fexp(e, c)]`, from truth tables.
 
-    Beyond 16 names the table is taken in blocks of 2^16 minterms, one for
-    each assignment to the names above the 16th, so memory stays bounded.
+    Beyond 12 names the table is taken in blocks of 2^12 minterms, one for
+    each assignment to the names above the 12th, so memory stays bounded.
     """
     names = sorted(universe)
-    low, high = names[:_ENUM_LIMIT], names[_ENUM_LIMIT:]
+    low, high = names[:_TABLE_LIMIT], names[_TABLE_LIMIT:]
     leaves, full = dict(zip(low, _masks(len(low)))), (1 << (1 << len(low))) - 1
     out = []
     for h in range(1 << len(high)):
@@ -388,20 +377,11 @@ def witness(e: FeatExpr, universe: Iterable[str]) -> Configuration | None:
 
     Decided over the formula's own features within `universe`: the first
     solution in `all_configs` order has every other feature disabled.
-    Beyond 16 of them, each one above the 16th, highest first, is disabled
-    where `sat` allows, and the table over the lowest 16 gives the rest.
     """
     names = sorted(features_of(e) & frozenset(universe))
-    low, high = names[:_ENUM_LIMIT], names[_ENUM_LIMIT:]
-    leaves, full = dict(zip(low, _masks(len(low)))), (1 << (1 << len(low))) - 1
-    e = and_all([e, *(Not(Feature(f)) for f in features_of(e) - set(names))])
-    for f in reversed(high):
-        off = conj(e, Not(Feature(f)))
-        e, leaves[f] = (off, 0) if sat(off) else (conj(e, Feature(f)), full)
-    t = _truth_table(e, leaves, len(low))
-    if not t:
-        return None
-    return _config(low, (t & -t).bit_length() - 1) | {f for f in high if leaves[f]}
+    u = Universe(names)
+    t = u.of(e)
+    return _config(names, u.lowest(t)) if t else None
 
 
 def taut(e: FeatExpr) -> bool:
@@ -416,85 +396,23 @@ def equiv(e1: FeatExpr, e2: FeatExpr) -> bool:
     return taut(Or(And(e1, e2), And(Not(e1), Not(e2))))
 
 
-def _tseitin(e: FeatExpr) -> list[list[int]]:
-    """Equisatisfiable CNF over integer literals (one aux var per gate)."""
-    clauses: list[list[int]] = []
-    feature_ids: dict[str, int] = {}
-    counter = itertools.count(1)
-
-    def fid(name: str) -> int:
-        if name not in feature_ids:
-            feature_ids[name] = next(counter)
-        return feature_ids[name]
-
-    def walk(node: FeatExpr) -> int:
-        if isinstance(node, Feature):
-            return fid(node.name)
-        if isinstance(node, BoolLit):
-            v = next(counter)
-            clauses.append([v] if node.value else [-v])
-            return v
-        if isinstance(node, Not):
-            return -walk(node.operand)
-        a = walk(node.left)
-        b = walk(node.right)
-        v = next(counter)
-        if isinstance(node, And):
-            clauses.extend([[-v, a], [-v, b], [v, -a, -b]])
-        else:
-            clauses.extend([[-v, a, b], [v, -a], [v, -b]])
-        return v
-
-    clauses.append([walk(e)])
-    return clauses
-
-
-def _dpll(clauses: list[list[int]]) -> bool:
-    # unit propagation
-    while True:
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        reduced = []
-        for c in clauses:
-            if unit in c:
-                continue
-            if -unit in c:
-                rest = [x for x in c if x != -unit]
-                if not rest:
-                    return False
-                reduced.append(rest)
-            else:
-                reduced.append(c)
-        clauses = reduced
-    if not clauses:
-        return True
-    v = abs(clauses[0][0])
-    return _dpll(clauses + [[v]]) or _dpll(clauses + [[-v]])
-
-
 # ---------------------------------------------------------------------------
 # Canonical simplification
 # ---------------------------------------------------------------------------
 
-_QM_LIMIT = 12  # truth-table size cap for the canonical path
-
-
 def simplify(e: FeatExpr) -> FeatExpr:
-    """Canonical minimal disjunctive normal form (small formulas).
+    """Canonical disjunctive normal form.
 
     Guarantees: the result is equivalent to the input; a constant formula
     becomes a bare `true`/`false`; composite results contain no boolean
     literals; the result only mentions features the input semantically
     depends on; equivalent inputs yield the identical tree; and the function
-    is idempotent.  Formulas over more than 12 features get a cheaper
-    structural cleanup that still folds constants and collapses
-    unsatisfiable/tautological formulas.
+    is idempotent.  It is the minimal form Quine-McCluskey gives where the
+    function depends on at most 12 features, and an irredundant sum of
+    products beyond.
     """
-    names = sorted(features_of(e))
-    if len(names) > _QM_LIMIT:
-        return _simplify_structural(e)
-    return _canonical(tuple(names), _table_over(e, names))
+    u = Universe(sorted(features_of(e)))
+    return u.formula(u.of(e))
 
 
 def from_table(names: list[str], table: int) -> FeatExpr:
@@ -505,7 +423,7 @@ def from_table(names: list[str], table: int) -> FeatExpr:
     disjunction; above that, the disjunction itself in ascending order
     unless it is constant.
     """
-    if len(names) > _QM_LIMIT and 0 < table < (1 << (1 << len(names))) - 1:
+    if len(names) > _TABLE_LIMIT and 0 < table < (1 << (1 << len(names))) - 1:
         return or_all(minterm(_config(names, m), names) for m in _bits(table))
     return _canonical(tuple(names), table)
 
@@ -650,116 +568,195 @@ def _term(names: tuple[str, ...], v: int, mask: int) -> FeatExpr:
     return out
 
 
-def _simplify_structural(e: FeatExpr) -> FeatExpr:
-    e = _clean(e)
-    if isinstance(e, BoolLit):
-        return e
-    if not sat(e):
-        return FALSE
-    if not sat(Not(e)):
-        return TRUE
-    return e
-
-
-def _clean(e: FeatExpr) -> FeatExpr:
-    """Bottom-up constant folding, double-negation and duplicate removal."""
-    if isinstance(e, Not):
-        op = _clean(e.operand)
-        if isinstance(op, BoolLit):
-            return FALSE if op.value else TRUE
-        if isinstance(op, Not):
-            return op.operand
-        return Not(op)
-    if isinstance(e, And):
-        l, r = _clean(e.left), _clean(e.right)
-        if l == FALSE or r == FALSE:
-            return FALSE
-        if l == TRUE:
-            return r
-        if r == TRUE:
-            return l
-        return l if l == r else And(l, r)
-    if isinstance(e, Or):
-        l, r = _clean(e.left), _clean(e.right)
-        if l == TRUE or r == TRUE:
-            return TRUE
-        if l == FALSE:
-            return r
-        if r == FALSE:
-            return l
-        return l if l == r else Or(l, r)
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Presence algebra
 # ---------------------------------------------------------------------------
 
 
-class _Formula:
-    """A condition of a `Universe` above 12 features: the formula, combined
-    by the operators of a truth table and decided by `sat`."""
+class _BDD:
+    """A reduced ordered binary decision diagram over variables 0 .. n-1,
+    higher variables nearer the root (Bryant 1986).  Node 0 is false, node
+    1 true, and node i > 1 is `nodes[i] = (k, lo, hi)`: `hi` where variable
+    k holds and `lo` where it does not.  The unique table keeps one node
+    per triple, so equal functions are equal nodes."""
 
-    __slots__ = ("e",)
+    def __init__(self):
+        self.nodes = [(-1, 0, 0), (-1, 1, 1)]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._ite: dict[tuple[int, int, int], int] = {}
+        self._isop: dict[tuple[int, int], tuple[tuple, int]] = {}
 
-    def __init__(self, e: FeatExpr):
-        self.e = e
+    def node(self, k: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (k, lo, hi)
+        i = self._unique.get(key)
+        if i is None:
+            i = self._unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return i
 
-    def __and__(self, other: _Formula) -> _Formula:
-        return _Formula(conj(self.e, other.e))
+    def ite(self, f: int, g: int, h: int) -> int:
+        """The node that is `g` where `f` holds and `h` elsewhere."""
+        if f < 2:
+            return g if f else h
+        if g == f:
+            g = 1
+        if h == f:
+            h = 0
+        if g == h:
+            return g
+        if g == 1 and h == 0:
+            return f
+        key = (f, g, h)
+        out = self._ite.get(key)
+        if out is None:
+            k = max(self.nodes[f][0], self.nodes[g][0], self.nodes[h][0])
+            (f0, f1), (g0, g1), (h0, h1) = self._split(f, k), self._split(g, k), self._split(h, k)
+            out = self._ite[key] = self.node(k, self.ite(f0, g0, h0), self.ite(f1, g1, h1))
+        return out
 
-    def __or__(self, other: _Formula) -> _Formula:
-        return _Formula(disj(self.e, other.e))
+    def _split(self, f: int, k: int) -> tuple[int, int]:
+        """`f` where variable k is off and where it is on."""
+        kf, lo, hi = self.nodes[f]
+        return (lo, hi) if kf == k else (f, f)
 
-    def __invert__(self) -> _Formula:
-        return _Formula(Not(self.e))
+    def of(self, e: FeatExpr, leaves: dict[str, int]) -> int:
+        """The node of `e`, walked as `_truth_table` walks it."""
+        kind = type(e)
+        if kind is Feature:
+            return leaves.get(e.name, 0)
+        if kind is And:
+            f = self.of(e.left, leaves)
+            return self.ite(f, self.of(e.right, leaves), 0) if f else 0
+        if kind is Or:
+            f = self.of(e.left, leaves)
+            return self.ite(f, 1, self.of(e.right, leaves)) if f != 1 else 1
+        if kind is Not:
+            return self.ite(self.of(e.operand, leaves), 0, 1)
+        if kind is BoolLit:
+            return int(e.value)
+        raise TypeError(f"not a feature expression: {e!r}")
+
+    def isop(self, lo: int, up: int) -> tuple[tuple, int]:
+        """An irredundant sum of products of a function between `lo` and
+        `up` (Minato 1992): its cubes as (values, variables cared for), and
+        its node.  Cubes without variable k cover what both cofactors on it
+        share; the others carry k's literal."""
+        if not lo:
+            return (), 0
+        if up == 1:
+            return ((0, 0),), 1
+        key = (lo, up)
+        if key not in self._isop:
+            k = max(self.nodes[lo][0], self.nodes[up][0])
+            (l0, l1), (u0, u1) = self._split(lo, k), self._split(up, k)
+            c0, r0 = self.isop(self.ite(u1, 0, l0), u0)
+            c1, r1 = self.isop(self.ite(u0, 0, l1), u1)
+            rest = self.ite(self.ite(r0, 0, l0), 1, self.ite(r1, 0, l1))
+            cd, rd = self.isop(rest, self.ite(u0, u1, 0))
+            bit = 1 << k
+            cubes = (*((v, c | bit) for v, c in c0), *((v | bit, c | bit) for v, c in c1), *cd)
+            self._isop[key] = cubes, self.ite(self.node(k, r0, r1), 1, rd)
+        return self._isop[key]
+
+    def formula(self, f: int, names: tuple[str, ...]) -> FeatExpr:
+        """The canonical form of node `f`, variable k standing for
+        `names[k]`: `_canonical`'s, from the table read off the diagram,
+        where `f` depends on at most 12 variables, else its irredundant sum
+        of products, terms in `_term_key` order."""
+        seen, todo = set(), [f]
+        while todo:
+            i = todo.pop()
+            if i > 1 and i not in seen:
+                seen.add(i)
+                todo += self.nodes[i][1:]
+        support = sorted({self.nodes[i][0] for i in seen})
+        if len(support) <= _TABLE_LIMIT:
+            full = (1 << (1 << len(support))) - 1
+            masks = dict(zip(support, _masks(len(support))))
+            table = {0: 0, 1: full}
+            for i in sorted(seen, key=lambda i: self.nodes[i][0]):
+                k, lo, hi = self.nodes[i]
+                table[i] = table[hi] & masks[k] | table[lo] & (masks[k] ^ full)
+            return _canonical(tuple(names[k] for k in support), table[f])
+        n = len(names)
+        terms = sorted(((v, (1 << n) - 1 ^ c) for v, c in self.isop(f, f)[0]),
+                       key=lambda p: _term_key(*p, n))
+        return or_all(_term(names, v, mask) for v, mask in terms)
+
+
+class _Node:
+    """A condition of a `Universe` above 12 features: a node of its diagram."""
+
+    __slots__ = ("bdd", "i")
+
+    def __init__(self, bdd: _BDD, i: int):
+        self.bdd, self.i = bdd, i
+
+    def __and__(self, other: _Node) -> _Node:
+        return _Node(self.bdd, self.bdd.ite(self.i, other.i, 0))
+
+    def __or__(self, other: _Node) -> _Node:
+        return _Node(self.bdd, self.bdd.ite(self.i, 1, other.i))
+
+    def __invert__(self) -> _Node:
+        return _Node(self.bdd, self.bdd.ite(self.i, 0, 1))
 
     def __bool__(self) -> bool:
-        return sat(self.e)
+        return self.i != 0
 
     def __eq__(self, other) -> bool:
-        return equiv(self.e, other.e)
+        return self.i == other.i
 
 
 #: A condition of a `Universe`.  Only ``&``, ``|``, ``& ~x``, ``==`` and
 #: truth are used, and ``~x`` only as the right operand of ``&``.
-Table = int | _Formula
+Table = int | _Node
 
 
 class Universe:
-    """The presence conditions over sorted feature `names`, which are the
-    only features they mention.
+    """The presence conditions over sorted feature `names`; any other
+    feature counts as disabled.
 
     Up to 12 names a condition is its truth table over them (bit m is
     minterm m, bit k of m standing for `names[k]`, as in `all_configs`),
     walked once from its formula and printed canonically from the table.
-    Above 12 names it is a `_Formula`, printed by `simplify`.  Either way
-    every decision is exact.
+    Above 12 names it is a node of the universe's one diagram, variable k
+    standing for `names[k]`.  Either way equal functions are equal values
+    and every decision is exact.
     """
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
-        self.tables = len(self.names) <= _QM_LIMIT
-        self._leaves = dict(zip(self.names, _masks(len(self.names)) if self.tables else ()))
+        self.tables = len(self.names) <= _TABLE_LIMIT
+        if self.tables:
+            self._leaves = dict(zip(self.names, _masks(len(self.names))))
+        else:
+            self._bdd = _BDD()
+            self._leaves = {f: self._bdd.node(k, 0, 1) for k, f in enumerate(self.names)}
 
     def of(self, e: FeatExpr) -> Table:
-        return _truth_table(e, self._leaves, len(self.names)) if self.tables else _Formula(e)
+        if self.tables:
+            return _truth_table(e, self._leaves, len(self.names))
+        return _Node(self._bdd, self._bdd.of(e, self._leaves))
 
     def formula(self, t: Table) -> FeatExpr:
-        """The canonical form of `t` (above 12 features, `simplify`'s)."""
-        return _canonical(self.names, t) if self.tables else simplify(t.e)
-
-    def expr(self, t: Table) -> FeatExpr:
-        """A formula of `t`: canonical up to 12 features, else as built."""
-        return _canonical(self.names, t) if self.tables else t.e
+        """The canonical form of `t`."""
+        return _canonical(self.names, t) if self.tables else self._bdd.formula(t.i, self.names)
 
     def lowest(self, t: Table) -> int:
         """The least minterm of a satisfiable `t`: where enumerating the
-        configurations in `all_configs` order first meets it."""
+        configurations in `all_configs` order first meets it.  In the
+        diagram, the walk from the root that takes the low branch where it
+        is not false."""
         if self.tables:
             return (t & -t).bit_length() - 1
-        c = witness(t.e, self.names)
-        return sum(1 << k for k, f in enumerate(self.names) if f in c)
+        m, i = 0, t.i
+        while i > 1:
+            k, lo, hi = self._bdd.nodes[i]
+            m, i = (m, lo) if lo else (m | 1 << k, hi)
+        return m
 
 
 # ---------------------------------------------------------------------------

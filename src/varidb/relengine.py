@@ -428,10 +428,9 @@ def run_group(q: VQuery, db: VDBInstance, collect: list | None = None) -> VTable
     Each group is evaluated against the database restricted to each of
     its regions, `Universe` conditions on which column presence is
     constant; row conditions are tracked through the operators and
-    conjoined with the region's formula (`Universe.expr`) on the way out.
+    conjoined with the region's canonical formula on the way out.
     When `collect` is a list, it receives one (label, plain query,
-    TrackedTable) triple per evaluation, labelled by the region's
-    formula: its canonical form up to 12 features.
+    TrackedTable) triple per evaluation, labelled by that formula.
     """
     schema = result_schema(q, db.schema)
     u = Universe(sorted(db.schema.features))
@@ -442,7 +441,7 @@ def run_group(q: VQuery, db: VDBInstance, collect: list | None = None) -> VTable
         for region in _presence_atoms(plain_query, db.schema, u.of(e) & model, presence):
             restricted = {name: _restrict_table(t, region) for name, t in stored.items()}
             out = eval_tracked(plain_query, restricted)
-            stamp = u.expr(region)
+            stamp = u.formula(region)
             if collect is not None:
                 collect.append((print_fexp(stamp), plain_query, out))
             for values, tracked in out.rows.items():

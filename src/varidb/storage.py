@@ -34,10 +34,10 @@ from .featexpr import (
     FALSE,
     And,
     FeatExpr,
+    Or,
     ParseError,
     TRUE,
     conj,
-    disj,
     eval_fexp,
     parse_fexp,
     print_fexp,
@@ -200,12 +200,13 @@ def build_vtable(
 
     Each plain row is annotated with its part's feature expression and padded
     with Null for schema attributes its table lacks; rows identical in all
-    values merge by disjoining their conditions; unsatisfiable rows drop; all
+    values merge by disjoining their conditions, pairwise, so the
+    disjunction of n parts nests log2(n) deep; unsatisfiable rows drop; all
     conditions are canonically simplified; rows come out sorted by value.  A
     part with no rows adds nothing, whatever its columns.
     """
     names = schema.attr_names()
-    merged: dict[tuple, FeatExpr] = {}
+    merged: dict[tuple, list[FeatExpr]] = {}
     for table, fexp in parts:
         if not table.rows:
             continue
@@ -221,12 +222,13 @@ def build_vtable(
             padded = tuple(
                 row[idx[n]] if n in idx else None for n in names
             )
-            merged[padded] = (
-                disj(merged[padded], fexp) if padded in merged else fexp
-            )
+            merged.setdefault(padded, []).append(fexp)
     rows = []
     for values in sorted(merged, key=row_sort_key):
-        pc = simplify(merged[values])
+        pcs = merged[values]
+        while len(pcs) > 1:
+            pcs = [Or(p, q) for p, q in zip(pcs[::2], pcs[1::2])] + pcs[len(pcs) & ~1 :]
+        pc = simplify(pcs[0])
         if pc == FALSE:
             continue
         rows.append(VTuple(values, pc))

@@ -35,12 +35,11 @@ Every side condition is decided in the presence algebra of
 the query or the schema is walked once, into its truth table; each presence
 condition of a `QueryType` is built from its children's with ``&``, ``|``
 and ``& ~``, and a side condition is a few bit operations on them.  Above
-12 features a condition is the formula itself and the same operators decide
-it with `sat`.  The formula forms of a type (`attrs`, `annotation`,
+12 features a condition is a decision-diagram node and the same operators
+decide it.  The formula forms of a type (`attrs`, `annotation`,
 `pushed_attrs`, `render`) are built only when read, by the rules above: the
 annotation is structural, and a pushed attribute condition is
-``simplify(pc ∧ annotation)``, read off the table where the universe has at
-most 12 features.
+``simplify(pc ∧ annotation)``, read off the universe's value.
 
 The same walk pushes the schema into a query (`push_schema`): it rebuilds
 each node from its children's pushed forms, conditions unchecked, and gives
@@ -166,15 +165,11 @@ class QueryType:
     @cached_property
     def pushed_pcs(self) -> dict[str, FeatExpr]:
         """The formulas of `pushed`: the attributes' own conditions under a
-        literal `true` annotation, else `simplify(pc ∧ annotation)`, which up
-        to 12 features is the canonical form read off the table."""
-        annotation = self.annotation
-        if annotation == TRUE:
+        literal `true` annotation, else `simplify(pc ∧ annotation)`, the
+        canonical form read off the universe's value."""
+        if self.annotation == TRUE:
             return self.attr_pcs
-        u, pcs = self.universe, self.attr_pcs
-        if u.tables:
-            return {name: u.formula(t) for name, t in self.pushed.items()}
-        return {name: simplify(And(pcs[name], annotation)) for name in self.pushed}
+        return {name: self.universe.formula(t) for name, t in self.pushed.items()}
 
     def pushed_attrs(self) -> VSet:
         """`push_annotation(VSet(attrs.elements, annotation))`."""

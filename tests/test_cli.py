@@ -6,6 +6,8 @@ import sqlite3
 import sys
 from pathlib import Path
 
+import pytest
+
 from varidb import typecheck
 from varidb.cli import main
 from varidb.featexpr import And, eval_fexp, parse_fexp, print_fexp, sat, solutions
@@ -88,24 +90,24 @@ def _wide_vdb(root, n, model=None):
 
 
 def test_grouping_beyond_twelve_features(tmp_path, capsys, monkeypatch):
-    # beyond 12 features a group prints as its structural formula, not as
-    # the 4095 minterms where the group holds
+    # beyond 12 features a group prints as its irredundant sum of
+    # products, not as the 4095 minterms where the group holds
     names, text = _wide_vdb(tmp_path, 13)
-    every = " & ".join(names)
+    every, some_off = " & ".join(names), " | ".join(f"!{f}" for f in names)
     code, out, err = run_cli(["group", str(tmp_path)], text, capsys, monkeypatch)
     assert (code, err) == (0, "")
     # lowest minterm first: all features disabled lies in the negation
-    assert out == f"proj [a1] r # !({every})\nproj [a1, a2] r # {every}\n"
+    assert out == f"proj [a1] r # {some_off}\nproj [a1, a2] r # {every}\n"
     code, out, err = run_cli(
         ["run", "--strategy", "group", str(tmp_path)], text, capsys, monkeypatch
     )
     assert (code, err) == (0, "")
-    assert out.splitlines()[:3] == ["a1,a2,presCond", f"1,2,{every}", f"1,,!({every})"]
+    assert out.splitlines()[:3] == ["a1,a2,presCond", f"1,2,{every}", f"1,,{some_off}"]
     code, out, err = run_cli(["sql", str(tmp_path)], text, capsys, monkeypatch)
     assert (code, err) == (0, "")
     blocks, _ = _statement_blocks(out)
     assert blocks == [
-        f"SELECT DISTINCT a1, NULL AS a2, '!({every})' AS presCond FROM r\n"
+        f"SELECT DISTINCT a1, NULL AS a2, '{some_off}' AS presCond FROM r\n"
         "UNION ALL\n"
         f"SELECT DISTINCT a1, a2, '{every}' AS presCond FROM r"
     ]
@@ -116,10 +118,29 @@ def test_grouping_beyond_twenty_features_exits_0(tmp_path, capsys, monkeypatch):
     # grouping splits presence conditions and enumerates no
     # configurations, so it has no feature limit
     names, text = _wide_vdb(tmp_path, 24)
-    every = " & ".join(names)
+    every, some_off = " & ".join(names), " | ".join(f"!{f}" for f in names)
     code, out, err = run_cli(["group", str(tmp_path)], text, capsys, monkeypatch)
     assert (code, err) == (0, "")
-    assert out == f"proj [a1] r # !({every})\nproj [a1, a2] r # {every}\n"
+    assert out == f"proj [a1] r # {some_off}\nproj [a1, a2] r # {every}\n"
+
+
+@pytest.mark.parametrize("n", [10, 13])
+def test_wide_run_exits_0_under_both_strategies(tmp_path, capsys, monkeypatch, n):
+    # with no feature model the configure strategy merges 2^n minterms per
+    # row; the merge nests log2(2^n) deep, and both strategies print the
+    # canonical form of the same functions
+    names = [f"g{i:02d}" for i in range(n)]
+    (tmp_path / "schema.vschema").write_text(
+        f"features {', '.join(names)}\nrelation r (a1 int, a2 int)\n"
+    )
+    (tmp_path / "r.csv").write_text("a1,a2,presCond\n1,2,true\n")
+    outs = []
+    for strategy in ("configure", "group"):
+        argv = ["run", "--strategy", strategy, str(tmp_path)]
+        code, out, err = run_cli(argv, "proj [a1, a2] r", capsys, monkeypatch)
+        assert (code, err) == (0, ""), strategy
+        outs.append(out)
+    assert outs == ["a1,a2,presCond\n1,2,true\n"] * 2
 
 
 def _rows(out):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import operator
 import random
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varidb.featexpr import (
     FALSE,
@@ -17,6 +21,7 @@ from varidb.featexpr import (
     Not,
     Or,
     ParseError,
+    Universe,
     all_configs,
     and_all,
     equiv,
@@ -35,6 +40,7 @@ from varidb.featexpr import (
     _minimal,
     _pick_cover,
     _primes,
+    _truth_table,
     sat,
     simplify,
     solutions,
@@ -210,8 +216,8 @@ def test_solvers_agree_with_truth_table():
         assert implies(e1, e2) == all(b for a, b in zip(rows1, rows2) if a)
 
 
-def test_dpll_path_on_large_formulas():
-    # more than 16 distinct features forces the CNF/DPLL code path
+def test_sat_on_formulas_over_eighteen_features():
+    # more than 12 distinct features are decided on a decision diagram
     feats = [Feature(f"x{i}") for i in range(18)]
     assert sat(or_all(feats))
     assert not sat(And(and_all(feats), Not(feats[9])))
@@ -311,6 +317,85 @@ def test_solutions_beyond_sixteen_features_go_blockwise():
     assert witness(everything, universe) == frozenset(universe)
     assert witness(And(everything, Not(feats[16])), universe) is None
     assert witness(Or(everything, Not(feats[16])), universe) == frozenset()
+
+
+# Seeded and without an example database, so tier-1 runs repeat exactly.
+_WIDE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _wide_fexps(names: list[str]):
+    """Unions of random cubes, one of them under a random formula: most
+    of them depend on more than 12 of `names`."""
+    fexps = st.recursive(
+        st.one_of(st.just(TRUE), st.just(FALSE), st.builds(Feature, st.sampled_from(names))),
+        lambda sub: st.one_of(
+            st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)
+        ),
+        max_leaves=12,
+    )
+    literals = [x for f in names for x in (Feature(f), Not(Feature(f)))]
+    cube = st.lists(st.sampled_from(literals), min_size=2, max_size=8).map(and_all)
+    cubes = st.lists(cube, min_size=4, max_size=10).map(or_all)
+    return st.builds(lambda e, c, d: Or(c, And(e, d)), fexps, cubes, cubes)
+
+
+def _wide_case(n: int):
+    names = [f"x{i:02d}" for i in range(n)]
+    return st.tuples(st.just(names), _wide_fexps(names), _wide_fexps(names))
+
+
+_WIDE_CASES = st.integers(13, 16).flatmap(_wide_case)
+
+
+def _spine(e, kind) -> list:
+    """The operands of a left-associated chain of `kind` nodes."""
+    out = []
+    while isinstance(e, kind):
+        out.append(e.right)
+        e = e.left
+    return [e, *reversed(out)]
+
+
+@_WIDE_SETTINGS
+@given(_WIDE_CASES)
+def test_universe_diagrams_agree_with_truth_tables(case):
+    names, e1, e2 = case
+    n, u = len(names), Universe(names)
+    leaves = dict(zip(names, _masks(n)))
+    a, b = u.of(e1), u.of(e2)
+    ta, tb = _truth_table(e1, leaves, n), _truth_table(e2, leaves, n)
+    for value, table in ((a, ta), (a & b, ta & tb), (a | b, ta | tb), (a & ~b, ta & ~tb)):
+        assert bool(value) == bool(table)
+        if table:
+            assert u.lowest(value) == (table & -table).bit_length() - 1
+        assert _truth_table(u.formula(value), leaves, n) == table
+    assert (a == b) == (ta == tb)
+    assert a & b == u.of(And(e1, e2)) and a | b == u.of(Or(e1, e2))
+    assert ~(~a | ~b) == a & b and (a & ~a) == u.of(FALSE) and (a | ~a) == u.of(TRUE)
+
+
+@_WIDE_SETTINGS
+@given(_WIDE_CASES)
+def test_wide_formulas_are_irredundant_or_canonical(case):
+    names, e1, e2 = case
+    n, u = len(names), Universe(names)
+    leaves = dict(zip(names, _masks(n)))
+    e = Or(And(e1, e2), And(Not(e1), Not(e2)))
+    t = _truth_table(e, leaves, n)
+    f = u.formula(u.of(e))
+    assert _truth_table(f, leaves, n) == t
+    if len(_drop_irrelevant(tuple(names), t)[0]) <= 12:
+        assert f == _canonical(tuple(names), t)
+        return
+    # an irredundant sum of products: no term and no literal can go
+    terms = [_spine(term, And) for term in _spine(f, Or)]
+    cubes = [_truth_table(and_all(lits), leaves, n) for lits in terms]
+    for i, lits in enumerate(terms):
+        assert all(isinstance(x, (Feature, Not)) for x in lits)
+        assert reduce(operator.or_, cubes[:i] + cubes[i + 1 :], 0) != t
+        for k in range(len(lits)):
+            assert _truth_table(and_all(lits[:k] + lits[k + 1 :]), leaves, n) & ~t
+    assert f == simplify(e)
 
 
 def test_variable_masks_match_their_definition():

@@ -333,12 +333,11 @@ WIDE_QUERIES = [
 
 @pytest.mark.parametrize("n,free", [(13, 3), (17, 2)])
 def test_wide_regions_agree_with_configure(n, free):
-    # above 12 features regions are formulas decided by `sat`; the feature
+    # above 12 features regions are decision-diagram nodes; the feature
     # model leaves 2^free configurations, so the enumerating strategy is
     # cheap, and attribute presences over the free features split regions.
-    # Conditions are simplified structurally there, so the two strategies
-    # print the same header and rows but equivalent, not equal, conditions;
-    # both imply the model, so they agree at its configurations.
+    # Conditions print canonically at every width, so the two strategies
+    # print the same bytes.
     db = _wide_db(n, free)
     configs = model_configs(db.schema)
     assert len(configs) == 1 << free
@@ -353,6 +352,7 @@ def test_wide_regions_agree_with_configure(n, free):
         assert [r.values for r in by_group.rows] == [r.values for r in by_config.rows], text
         for a, b in zip(by_group.rows, by_config.rows):
             assert [eval_fexp(a.pc, c) for c in configs] == [eval_fexp(b.pc, c) for c in configs]
+        assert print_vtable(by_group) == print_vtable(by_config), text
         split += len(collected) - len(group_query(q))
     assert split > 0
 

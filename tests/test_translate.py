@@ -444,8 +444,8 @@ def _same_partition(got, x, configure, key):
 
 def test_group_attrs_matches_the_enumerating_oracle():
     # Above 12 features the oracle's formulas are minterm disjunctions and
-    # group_attrs's are structural, so a 13-feature list is checked by its
-    # partition.
+    # group_attrs's are irredundant sums of products, so a 13-feature list
+    # is checked by its partition.
     rng = random.Random(2019)
     for n in list(range(13)) * 3:
         attrs = _random_attr_list(rng, n)
@@ -469,7 +469,8 @@ def test_group_attrs_wide_lists_and_the_cap():
     some = or_all(Feature(f"h{k:02d}") for k in range(21))
     wider = VSet((VElem("x0", some),))
     got = group_attrs(wider)
-    assert [(tuple(v.values()), e) for v, e in got] == [((), Not(some)), (("x0",), some)]
+    none = and_all(Not(Feature(f"h{k:02d}")) for k in range(21))
+    assert [(tuple(v.values()), e) for v, e in got] == [((), none), (("x0",), some)]
     with pytest.raises(TooManyFeatures, match="too many features to enumerate: 21"):
         group_generic(wider)
 

@@ -454,7 +454,8 @@ def _wide_schema(n):
 
 
 #: The toy and employee fixtures, and two schemas of 12 and 14 features:
-#: `simplify` is canonical up to 12 features and structural above.
+#: `simplify` is minimal up to 12 features and an irredundant sum of
+#: products above.
 _GOLDEN_SCHEMAS = (
     ("toy", parse_schema((FIXTURES / "toy" / "schema.vschema").read_text())),
     ("employee", EMPLOYEE),
@@ -593,11 +594,10 @@ def _padded(schema, n):
 
 
 def test_typing_paths_agree_on_padded_schemas():
-    """Typing decides on truth tables over the schema's features up to 16,
-    reads canonical conditions off them when the universe has at most 12
-    features, simplifies formulas above 12, and goes through formulas and
-    `sat` above 16.  Unused declared features move a schema
-    across those limits and must change no byte."""
+    """Typing decides on truth tables over the schema's features up to 12
+    and on a decision diagram above, and reads canonical conditions off
+    either.  Unused declared features move a schema across that limit and
+    must change no byte."""
     toy, employee, wide14 = (_GOLDEN_SCHEMAS[k][1] for k in (0, 1, 3))
     extra = [
         # set operations, both verdicts; the corpus has none
