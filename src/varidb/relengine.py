@@ -14,18 +14,23 @@ On top of it sit the two ways of answering a variational query:
   the configuration's minterm.
 * ``run_group`` evaluates each distinct plain query of the group
   translation once, against the database restricted to the group's
-  feature expression, tracking per-row presence conditions through the
-  operators.  Its regions are `featexpr.Universe` conditions; formulas
-  are built only for the stamps of output rows.
+  condition, tracking per-row presence conditions through the
+  operators.  Its groups, regions and output rows are `featexpr.Universe`
+  conditions: each output row's condition is the OR of its parts, and a
+  formula is built only to print it.
 
-Both feed their annotated parts to the v-table builder, so they produce
-the same canonically sorted, canonically simplified v-table.
+The two share no reassembly code.  ``run_configure`` feeds its annotated
+per-configuration tables to the v-table builder, which merges and
+simplifies formulas; ``run_group`` merges `Universe` values.  Both print
+each row's canonical condition and sort rows by value, so they produce
+the same v-table, and each checks the other.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 from .catalog import AttrType, VAttr, VRelSchema, VSchema, attr_presence
 from .featexpr import (
@@ -41,8 +46,17 @@ from .featexpr import (
     sat,
     solutions,
 )
-from .storage import PlainTable, VDBInstance, VTable, build_vtable, configure_db
-from .translate import configure_query, group_query
+from .storage import (
+    PlainTable,
+    StorageError,
+    VDBInstance,
+    VTable,
+    VTuple,
+    build_vtable,
+    configure_db,
+    row_sort_key,
+)
+from .translate import configure_query, group_tables
 from .typecheck import PlainTypeError, type_of
 from .vra import (
     AttrRef,
@@ -222,6 +236,24 @@ def _stored(db: VDBInstance, u: Universe) -> tuple[dict[str, tuple], dict[FeatEx
     return presence, stored
 
 
+def _disjoined(rows: Iterable[tuple[tuple, FeatExpr]]) -> dict[tuple, FeatExpr]:
+    """Rows keyed by their values.  Equal rows merge by disjoining their
+    conditions pairwise, so the disjunction of n conditions nests log2(n)
+    deep; a row seen once keeps its condition as it is."""
+    out: dict[tuple, FeatExpr] = {}
+    repeats: dict[tuple, list[FeatExpr]] = {}
+    for values, pc in rows:
+        if values in out:
+            repeats.setdefault(values, [out[values]]).append(pc)
+        else:
+            out[values] = pc
+    for values, pcs in repeats.items():
+        while len(pcs) > 1:
+            pcs = [disj(p, q) for p, q in zip(pcs[::2], pcs[1::2])] + pcs[len(pcs) & ~1 :]
+        out[values] = pcs[0]
+    return out
+
+
 def _restrict_table(table: tuple, region: Table) -> TrackedTable:
     """The slice of a stored v-table visible inside `region`.
 
@@ -231,17 +263,18 @@ def _restrict_table(table: tuple, region: Table) -> TrackedTable:
     """
     columns, stored_rows = table
     keep = [i for i, (_, t) in enumerate(columns) if t & region]
-    rows: dict[tuple, FeatExpr] = {}
-    for values, pc, t in stored_rows:
-        if not t & region:
-            continue
-        values = tuple(values[i] for i in keep)
-        rows[values] = disj(rows[values], pc) if values in rows else pc
+    rows = _disjoined(
+        (tuple(values[i] for i in keep), pc) for values, pc, t in stored_rows if t & region
+    )
     return TrackedTable(tuple(columns[i][0] for i in keep), rows)
 
 
 def eval_tracked(q: VQuery, db: dict[str, TrackedTable]) -> TrackedTable:
-    """Evaluate a plain query while carrying row conditions along."""
+    """Evaluate a plain query while carrying row conditions along.
+
+    Rows that a projection makes equal merge as `_disjoined` merges them.
+    A product or a union of tables with distinct rows merges at most two
+    conditions per row, so its merge stays a single `disj`."""
     if isinstance(q, Relation):
         table = db.get(q.name)
         if table is None:
@@ -257,10 +290,7 @@ def eval_tracked(q: VQuery, db: dict[str, TrackedTable]) -> TrackedTable:
     if isinstance(q, Project):
         t = eval_tracked(q.sub, db)
         positions, columns = _project_columns(q.attrs, t.columns)
-        rows: dict[tuple, FeatExpr] = {}
-        for r, pc in t.rows.items():
-            values = tuple(r[p] for p in positions)
-            rows[values] = disj(rows[values], pc) if values in rows else pc
+        rows = _disjoined((tuple(r[p] for p in positions), pc) for r, pc in t.rows.items())
         return TrackedTable(columns, rows)
     if isinstance(q, (Product, Join)):
         a = eval_tracked(q.left, db)
@@ -425,27 +455,43 @@ def _presence_atoms(q: VQuery, schema: VSchema, region: Table, presence: dict) -
 def run_group(q: VQuery, db: VDBInstance, collect: list | None = None) -> VTable:
     """Answer a v-query by evaluating each distinct plain query once.
 
-    Each group is evaluated against the database restricted to each of
-    its regions, `Universe` conditions on which column presence is
-    constant; row conditions are tracked through the operators and
-    conjoined with the region's canonical formula on the way out.
+    Every condition is a value of `Universe(sorted(schema.features))`
+    from grouping to printing.  Each group is evaluated against the
+    database restricted to each of its regions, conditions on which
+    column presence is constant; row conditions are tracked through the
+    operators and ANDed with the region on the way out.  Output rows are
+    padded with Null to the result's attributes, and equal rows merge by
+    ORing their conditions.  Each row's condition prints once, as its
+    canonical formula, and rows come out sorted by value.
     When `collect` is a list, it receives one (label, plain query,
-    TrackedTable) triple per evaluation, labelled by that formula.
+    TrackedTable) triple per evaluation, labelled by the region's
+    canonical formula.
     """
     schema = result_schema(q, db.schema)
+    names = schema.attr_names()
     u = Universe(sorted(db.schema.features))
     model = u.of(db.schema.model)
     presence, stored = _stored(db, u)
-    parts = []
-    for plain_query, e in group_query(q):
-        for region in _presence_atoms(plain_query, db.schema, u.of(e) & model, presence):
+    merged: dict[tuple, Table] = {}
+    for plain_query, g in group_tables(q, u):
+        for region in _presence_atoms(plain_query, db.schema, g & model, presence):
             restricted = {name: _restrict_table(t, region) for name, t in stored.items()}
             out = eval_tracked(plain_query, restricted)
-            stamp = u.formula(region)
             if collect is not None:
-                collect.append((print_fexp(stamp), plain_query, out))
-            for values, tracked in out.rows.items():
-                if region & u.of(tracked):
-                    row = PlainTable(out.columns, frozenset({values}))
-                    parts.append((row, conj(stamp, tracked)))
-    return build_vtable(parts, schema)
+                collect.append((print_fexp(u.formula(region)), plain_query, out))
+            rows = [(values, t) for values, pc in out.rows.items() if (t := region & u.of(pc))]
+            if not rows:
+                continue
+            idx = _index(out.columns)
+            unknown = idx.keys() - set(names)
+            if unknown:
+                raise StorageError(
+                    f"column mismatch: {sorted(unknown)[0]} is not an attribute "
+                    f"of {schema.name}"
+                )
+            for values, t in rows:
+                padded = tuple(values[idx[n]] if n in idx else None for n in names)
+                merged[padded] = merged[padded] | t if padded in merged else t
+    return VTable(
+        schema, tuple(VTuple(v, u.formula(merged[v])) for v in sorted(merged, key=row_sort_key))
+    )

@@ -196,7 +196,8 @@ def configure_db(db: VDBInstance, config: Iterable[str]) -> dict[str, PlainTable
 def build_vtable(
     parts: Iterable[tuple[PlainTable, FeatExpr]], schema: VRelSchema
 ) -> VTable:
-    """Merge per-variant plain tables into one v-table.
+    """Merge per-variant plain tables into one v-table: `run_configure`'s
+    reassembly, one part per configuration.
 
     Each plain row is annotated with its part's feature expression and padded
     with Null for schema attributes its table lacks; rows identical in all

@@ -4,11 +4,12 @@ Two bridges between the variational and plain worlds:
 
 * `configure_query` resolves every choice and conditional projection item
   under one configuration, leaving an ordinary relational query.
-* `group_query` partitions the configuration space instead: it returns
-  annotated plain queries, one per distinct configured form, whose feature
-  expressions are pairwise disjoint and jointly cover every configuration.
-  It splits and intersects presence conditions in `featexpr.Universe` and
-  enumerates no configurations, so it has no feature limit.
+* `group_tables` partitions the configuration space instead: it returns
+  annotated plain queries, one per distinct configured form, whose
+  `featexpr.Universe` conditions are pairwise disjoint and jointly cover
+  every configuration.  It splits and intersects presence conditions and
+  enumerates no configurations, so it has no feature limit.  `group_query`
+  prints those conditions as feature expressions.
   `group_generic` is the brute-force restatement (configure under every
   configuration, bucket identical results, at most 20 features) used as an
   oracle.
@@ -194,16 +195,22 @@ def group_attrs(attrs: VSet) -> list[tuple[VSet, FeatExpr]]:
 
 
 def group_query(q: VQuery) -> QueryGroup:
+    """`group_tables` in `Universe(free_features(q))`, each condition
+    printed as its canonical formula."""
+    u = Universe(sorted(free_features(q)))
+    return [(plain, u.formula(t)) for plain, t in group_tables(q, u)]
+
+
+def group_tables(q: VQuery, u: Universe) -> list[tuple[PlainQuery, Table]]:
     """Partition the configuration space by configured query form.
 
-    Compositional, in `Universe(free_features(q))`: choices split the space
-    by their dimension, and every other form crosses its parts' groups,
-    dropping empty intersections.  Identical plain queries then merge, so
-    the result holds distinct plain queries whose fexps are pairwise
-    disjoint and jointly cover all configurations.
+    Compositional, in `u`, which must name every feature of `q`: choices
+    split the space by their dimension, and every other form crosses its
+    parts' groups, dropping empty intersections.  Identical plain queries
+    then merge, so the result holds distinct plain queries whose `u`
+    conditions are pairwise disjoint and jointly cover all configurations.
     """
-    u = Universe(sorted(free_features(q)))
-    return [(plain, u.formula(t)) for plain, t in _merge(_group(q, u), plain_key)]
+    return _merge(_group(q, u), plain_key)
 
 
 def _group(q: VQuery, u: Universe) -> list:

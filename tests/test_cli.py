@@ -143,6 +143,27 @@ def test_wide_run_exits_0_under_both_strategies(tmp_path, capsys, monkeypatch, n
     assert outs == ["a1,a2,presCond\n1,2,true\n"] * 2
 
 
+@pytest.mark.parametrize(
+    "row,query,expected",
+    [
+        ("1,{i}", "proj [a1] r", "a1,presCond\n1,f1 | f2\n"),
+        ("1,1", "rel r", "a1,a2,presCond\n1,1,f1 | f2\n"),
+    ],
+    ids=["merged-by-projection", "merged-by-restriction"],
+)
+def test_many_equal_rows_merge_under_both_strategies(
+    tmp_path, capsys, monkeypatch, row, query, expected
+):
+    # 2,000 rows whose conditions alternate f1 and f2 become one row; the
+    # conditions merge pairwise, so their disjunction nests log2(2000) deep
+    (tmp_path / "schema.vschema").write_text("features f1, f2\nrelation r (a1 int, a2 int)\n")
+    rows = "".join(f"{row.format(i=i)},{('f1', 'f2')[i % 2]}\n" for i in range(2000))
+    (tmp_path / "r.csv").write_text("a1,a2,presCond\n" + rows)
+    for strategy in ("configure", "group"):
+        argv = ["run", "--strategy", strategy, str(tmp_path)]
+        assert run_cli(argv, query, capsys, monkeypatch) == (0, expected, ""), strategy
+
+
 def _rows(out):
     """The data rows of `run`'s CSV as (values, parsed presence condition)."""
     header, *lines = out.splitlines()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from genqueries import canon_vtable
+from genqueries import canon_vtable, mixed_queries
+from varidb import featexpr, storage, translate
 from varidb.catalog import AttrType, parse_schema
 from varidb.featexpr import (
     TRUE,
@@ -42,7 +44,7 @@ from varidb.storage import (
 )
 from varidb.translate import configure_query, group_query, push_schema
 from varidb.typecheck import type_of
-from varidb.vra import AttrRef, CondChoice, CompareAttrConst, Const, parse_query
+from varidb.vra import AttrRef, CondChoice, CompareAttrConst, Const, parse_query, print_query
 from varidb.vset import VElem, VSet
 
 _FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -279,6 +281,83 @@ def test_group_collect_shows_presence_regions():
     regions = [entry[0] for entry in collected]
     assert len(set(regions)) == 4
     assert all(isinstance(entry[2], TrackedTable) for entry in collected)
+
+
+def test_group_collect_labels_each_region_by_its_canonical_formula():
+    db = load_vdb(_FIXTURES / "employee")
+    q = push_schema(parse_query("sel (salary = 55000) empacct"), db.schema)
+    collected = []
+    run_group(q, db, collect=collected)
+    assert [label for label, _, _ in collected] == [
+        "T4 & V5 & edu | T5 & V5 & edu",
+        "V5 & !edu",
+        "T4 & V4 & !V5 & edu | T5 & V4 & !V5 & edu",
+        "V4 & !V5 & !edu",
+    ]
+    db = load_vdb(_FIXTURES / "toy")
+    q = push_schema(parse_query("choice f1 { proj [a1 # f1] r } { proj [a2] r }"), db.schema)
+    collected = []
+    run_group(q, db, collect=collected)
+    assert [(label, print_query(m)) for label, m, _ in collected] == [
+        ("f1", "proj [a1] r"),
+        ("!f1 & !f2", "proj [] r"),
+        ("!f1 & f2", "proj [a2] r"),
+    ]
+
+
+def _refuse_in_varidb(monkeypatch, *fns):
+    """Rebind each of `fns`, wherever a varidb module holds it, to a
+    function that raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_group reached formula reassembly")
+
+    for name, module in list(sys.modules.items()):
+        if name == "varidb" or name.startswith("varidb."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in fns):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def test_group_reassembles_without_formulas(monkeypatch):
+    # run_group merges and prints Universe values: it reaches neither the
+    # v-table builder nor simplify nor the formula-printing grouping, and
+    # still prints run_configure's bytes
+    cases = []
+    for fixture, texts in BATTERY.items():
+        db = load_vdb(_FIXTURES / fixture)
+        cases += [(db, push_schema(parse_query(t), db.schema)) for t in texts]
+    db = load_vdb(_FIXTURES / "toy")
+    cases += [(db, q) for q in mixed_queries(db.schema, seed=20, count=60)]
+    expected = [print_vtable(run_configure(q, db)) for db, q in cases]
+    _refuse_in_varidb(
+        monkeypatch, storage.build_vtable, featexpr.simplify, translate.group_query
+    )
+    db, q = cases[0]
+    with pytest.raises(AssertionError, match="formula reassembly"):
+        run_configure(q, db)  # the rebinding reaches the strategies
+    for (db, q), want in zip(cases, expected):
+        assert print_vtable(run_group(q, db)) == want, print_query(q)
+
+
+def test_group_row_merges_parts_of_two_groups_and_two_regions():
+    # (1) comes from `proj [c1] t` under f and from the selection under !f,
+    # whose compared column c2 splits it into the regions g and !g
+    schema = parse_schema("features f, g\nrelation t (c1 int, c2 int # g)")
+    rows = (VTuple((1, 6), TRUE), VTuple((2, 5), parse_fexp("g")))
+    db = VDBInstance(schema, {"t": VTable(schema.relation("t"), rows)})
+    q = parse_query("choice f { proj [c1] t } { proj [c1] sel (!(c2 = 5)) t }")
+    type_of(push_schema(q, schema), schema)  # the query is well-typed
+    collected = []
+    out = run_group(q, db, collect=collected)
+    assert [(label, (1,) in table.rows) for label, _, table in collected] == [
+        ("f", True),
+        ("!f & g", True),
+        ("!f & !g", True),
+    ]
+    assert len({print_query(m) for _, m, _ in collected}) == 2
+    assert print_vtable(out) == "c1,presCond\n1,true\n2,f & g\n"
+    assert print_vtable(run_configure(q, db)) == print_vtable(out)
 
 
 @pytest.mark.parametrize("fixture", ["toy", "employee"])
